@@ -175,12 +175,10 @@ _SRC_SUFFIX = "\x00src"
 
 
 def _refine_mapping(
-    name: str,
     tbl: pd.DataFrame,
     options: dict[str, list[tuple[str, float, frozenset, float]]],
     source: pd.DataFrame,
     key_cols: list[str],
-    tau: float,
 ) -> dict[str, str] | None:
     """Pick the best column mapping for one candidate (see module doc).
 
@@ -334,9 +332,7 @@ def set_similarity(
     cands: list[Candidate] = []
     for name in order:
         tbl = repo.load_pdf(name)
-        mapping = _refine_mapping(
-            name, tbl, options[name], source, list(key_cols), tau
-        )
+        mapping = _refine_mapping(tbl, options[name], source, list(key_cols))
         if not mapping:
             continue
         opt = options[name]

@@ -57,10 +57,7 @@ def _value_sets(cand: Candidate, repo: TableRepository) -> dict[str, frozenset]:
 
 
 def _edge(
-    a: Candidate,
-    b: Candidate,
-    key_cols: list[str],
-    vsets: dict[str, dict[str, frozenset]],
+    a: Candidate, b: Candidate, vsets: dict[str, dict[str, frozenset]]
 ) -> tuple[str, str, float] | None:
     """Best join condition between two candidates: (colA, colB, weight).
 
@@ -155,7 +152,7 @@ def expand(
     names = sorted(by_name)
     for i, na in enumerate(names):
         for nb in names[i + 1 :]:
-            e = _edge(by_name[na], by_name[nb], key_cols, vsets)
+            e = _edge(by_name[na], by_name[nb], vsets)
             if e:
                 ca, cb, w = e
                 adj.setdefault(na, []).append((nb, w))
@@ -210,8 +207,6 @@ def _join_pdfs(
         if rc in merged.columns:
             merged[c] = merged[c].combine_first(merged[rc])
             merged = merged.drop(columns=[rc])
-    if cb != ca and cb in merged.columns and cb not in lp.columns:
-        pass  # keep the right-side join column (it may be a key column)
     return merged
 
 

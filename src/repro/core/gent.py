@@ -15,7 +15,7 @@ from repro.core import discovery as disc
 from repro.core import expand as exp
 from repro.core import integrate as integ
 from repro.core import matrix as mtx
-from repro.lake.repository import TableRepository
+from repro.lake.repository import TableRepository, to_spark
 
 
 @dataclass
@@ -92,27 +92,23 @@ def reclaim_from_candidates(
         return GenTResult(None, [], [], timings)
 
     t3 = time.perf_counter()
+    # one |S|-bounded slice per candidate, shared by encoding and integration
+    slices = {c.name: mtx.key_slice(spark, c, source, key_cols) for c in cands}
     matrices = {
-        c.name: mtx.matrix_for_candidate(spark, c, source, key_cols) for c in cands
+        n: mtx.matrix_for_candidate(spark, sl, source, key_cols)
+        for n, sl in slices.items()
     }
     orig_names = mtx.matrix_traversal(matrices, source, key_cols)
     timings["matrix_traversal"] = time.perf_counter() - t3
 
-    by_name = {c.name: c for c in cands}
-    originating = [by_name[n] for n in orig_names if matrices.get(n)]
+    originating = [n for n in orig_names if matrices.get(n)]
     if not originating:
         timings["total"] = time.perf_counter() - t0
         return GenTResult(None, [], [c.name for c in cands], timings)
 
     t4 = time.perf_counter()
-    reclaimed = integ.integrate(
-        spark, [c.df for c in originating], source, key_cols
-    )
+    out = integ.integrate([slices[n] for n in originating], source, key_cols)
+    reclaimed = None if out is None else to_spark(spark, out)
     timings["integrate"] = time.perf_counter() - t4
     timings["total"] = time.perf_counter() - t0
-    return GenTResult(
-        reclaimed,
-        [c.name for c in originating],
-        [c.name for c in cands],
-        timings,
-    )
+    return GenTResult(reclaimed, originating, [c.name for c in cands], timings)

@@ -1,7 +1,7 @@
 """Table Integration (paper §V-B, Alg 2).
 
 Pipeline per source table:
-  1. ProjectSelect — π to S's columns, σ to S's key values (Spark semi-join);
+  1. ProjectSelect — π to S's columns, σ to S's key values;
   2. InnerUnion   — union tables sharing a schema;
   3. LabelSourceNulls — S's nulls become unique labelled non-null values in
      both a working copy of S and any key-aligned table null at the same
@@ -12,16 +12,16 @@ Pipeline per source table:
      EIS against the labelled source (Alg 2 lines 10-13);
   6. RemoveLabeledNulls + pad missing source columns.
 
-All table surgery is DataFrame-level; EIS checks collect only the (small,
-key-selected) working table.
+After ProjectSelect every table is bounded by |S| × fan-out (§VI-A), so
+the whole algorithm runs on the driver over pandas frames, with the
+pairwise kernels applied per key group (DESIGN.md §4.3). It starts no
+Spark job; the caller hands the result back to Spark once.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import metrics_core as mc
 from repro.core import operators as ops
@@ -31,111 +31,94 @@ LABEL_PREFIX = "##NULL##"
 _KEY_SEP = "\x1f"
 
 
-def _label(key: tuple, col: str) -> str:
-    return f"{LABEL_PREFIX}{_KEY_SEP.join('' if k is None else k for k in key)}{_KEY_SEP}{col}"
-
-
 def label_source_nulls(source: pd.DataFrame, key_cols: Sequence[str]) -> pd.DataFrame:
-    """Working copy of S with each null replaced by a unique label."""
+    """Working copy of S with each null replaced by a unique label
+    ``##NULL##<key values>\\x1f<column>``."""
     src = canon_str(source).reset_index(drop=True)
+    key_str = pd.Series(LABEL_PREFIX, index=src.index)
+    for i, k in enumerate(key_cols):
+        key_str = key_str + ("" if i == 0 else _KEY_SEP) + src[k].fillna("")
     out = src.copy()
-    for i in range(len(src)):
-        key = tuple(src.loc[i, list(key_cols)])
-        for c in src.columns:
-            if c not in key_cols and pd.isna(src.loc[i, c]):
-                out.loc[i, c] = _label(key, c)
+    for c in src.columns:
+        if c not in key_cols:
+            null = src[c].isna()
+            out.loc[null, c] = key_str[null] + _KEY_SEP + c
     return out
 
 
-def apply_null_labels(
-    spark: SparkSession,
-    df: DataFrame,
-    labeled_source: pd.DataFrame,
-    key_cols: Sequence[str],
-) -> DataFrame:
-    """Substitute labels into key-aligned table nulls at S's null positions."""
-    lbl_cols = [c for c in labeled_source.columns if c not in key_cols]
-    lbl = labeled_source.copy()
-    rename = {}
-    for c in lbl_cols:
-        is_label = lbl[c].map(lambda v: isinstance(v, str) and v.startswith(LABEL_PREFIX))
-        lbl[c] = lbl[c].where(is_label, None)
-        rename[c] = f"__lbl_{c}"
-    lbl = lbl.rename(columns=rename)
-    lbl = lbl.where(lbl.notna(), None)
-    from repro.lake.repository import to_spark
-
-    lbl_df = to_spark(spark, lbl)
-    joined = df.join(lbl_df, on=list(key_cols), how="left")
-    exprs = []
-    for c in df.columns:
-        if c in key_cols or c not in labeled_source.columns:
-            exprs.append(F.col(c))
-        else:
-            exprs.append(F.coalesce(F.col(c), F.col(f"__lbl_{c}")).alias(c))
-    return joined.select(exprs)
+def _labels_by_key(
+    src: pd.DataFrame, labeled_source: pd.DataFrame, key_cols: Sequence[str]
+) -> dict[str, dict[tuple, str]]:
+    """Per non-key column: S's key → the label at S's null in that column."""
+    out = {}
+    for c in src.columns:
+        if c not in key_cols:
+            null = src[c].isna()
+            keys = zip(*(src.loc[null, k] for k in key_cols))
+            out[c] = dict(zip(keys, labeled_source.loc[null, c]))
+    return out
 
 
-def remove_labeled_nulls(df: DataFrame) -> DataFrame:
-    """Invert the labelling: any label value becomes NULL again."""
-    exprs = [
-        F.when(F.col(c).startswith(LABEL_PREFIX), F.lit(None)).otherwise(F.col(c)).alias(c)
-        for c in df.columns
-    ]
-    return df.select(exprs)
+def _apply_labels(
+    pdf: pd.DataFrame, labels: dict[str, dict[tuple, str]], key_cols: Sequence[str]
+) -> pd.DataFrame:
+    """Substitute S's labels into the table's nulls at S's null positions."""
+    keys = list(zip(*(pdf[k] for k in key_cols)))
+    out = pdf.copy()
+    for c, by_key in labels.items():
+        if c in out.columns and by_key:
+            fill = pd.Series([by_key.get(k) for k in keys], index=out.index, dtype=object)
+            out[c] = out[c].where(out[c].notna(), fill)
+    return out
 
 
-def _eis_of(df: DataFrame, labeled_source: pd.DataFrame, key_cols: Sequence[str]) -> float:
-    pdf = df.toPandas()
-    return mc.eis(labeled_source, pdf, key_cols)
+def _revert_labels(pdf: pd.DataFrame, labels: dict[str, dict[tuple, str]]) -> pd.DataFrame:
+    """RemoveLabeledNulls: exactly the labels ``label_source_nulls`` made
+    become null again; a lake value that merely looks like one stays."""
+    produced = [v for by_key in labels.values() for v in by_key.values()]
+    out = pdf.astype(object)
+    return out.where(out.notna() & ~out.isin(produced), None)
 
 
 def integrate(
-    spark: SparkSession,
-    tables: Sequence[DataFrame],
+    tables: Sequence[pd.DataFrame],
     source: pd.DataFrame,
     key_cols: Sequence[str],
-) -> DataFrame | None:
-    """Alg 2 — integrate originating tables into a reclaimed table."""
-    if not tables:
-        return None
-    source = source.reset_index(drop=True)
-    src_cols = list(source.columns)
-    from repro.lake.repository import to_spark
+) -> pd.DataFrame | None:
+    """Alg 2 — integrate originating tables into a reclaimed table.
 
-    keys_df = to_spark(spark, source[list(key_cols)].drop_duplicates())
-
+    ``tables`` are all-string pandas frames in integration order; tables
+    without S's key columns are skipped. Returns a frame with exactly S's
+    columns, or None when no table can be integrated.
+    """
+    src = canon_str(source).reset_index(drop=True)
+    key_cols = list(key_cols)
     pre = []
     for t in tables:
         try:
-            ps = ops.project_select(t, src_cols, key_cols, keys_df)
+            pre.append(ops.project_select_pdf(canon_str(t), src, key_cols))
         except ValueError:
             continue
-        pre.append(ps)
     if not pre:
         return None
 
-    unioned = ops.inner_union_groups(pre)
-    labeled_source = label_source_nulls(source, key_cols)
-    labeled = [
-        apply_null_labels(spark, t, labeled_source, key_cols) for t in unioned
-    ]
+    labeled_source = label_source_nulls(src, key_cols)
+    labels = _labels_by_key(src, labeled_source, key_cols)
     minimal = [
-        ops.minimal_form(t, key_cols).localCheckpoint(eager=True) for t in labeled
+        ops.per_key_group(_apply_labels(t, labels, key_cols), key_cols, ops.minimal_form_pdf)
+        for t in ops.inner_union_pdfs(pre)
     ]
 
-    acc: DataFrame | None = None
+    acc: pd.DataFrame | None = None
     for t in minimal:
-        acc = t if acc is None else ops.outer_union(acc, t)
-        acc = acc.localCheckpoint(eager=True)
-        base = _eis_of(acc, labeled_source, key_cols)
-        comp = ops.complementation(acc, key_cols).localCheckpoint(eager=True)
-        if _eis_of(comp, labeled_source, key_cols) >= base:
+        acc = t if acc is None else pd.concat([acc, t], ignore_index=True)
+        base = mc.eis(labeled_source, acc, key_cols)
+        comp = ops.per_key_group(acc, key_cols, ops.complement_pdf)
+        if mc.eis(labeled_source, comp, key_cols) >= base:
             acc = comp
-            base = _eis_of(acc, labeled_source, key_cols)
-        sub = ops.subsumption(acc, key_cols).localCheckpoint(eager=True)
-        if _eis_of(sub, labeled_source, key_cols) >= base:
+            base = mc.eis(labeled_source, acc, key_cols)
+        sub = ops.per_key_group(acc, key_cols, ops.subsume_pdf)
+        if mc.eis(labeled_source, sub, key_cols) >= base:
             acc = sub
 
-    result = remove_labeled_nulls(acc)
-    return ops.add_missing_null_columns(result, src_cols)
+    return _revert_labels(acc.reindex(columns=list(src.columns)), labels)

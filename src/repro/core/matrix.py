@@ -13,10 +13,11 @@ a dict ``key tuple → list of row vectors`` (§V-A3). ``combine`` merges two
 matrices with the paper's Combine(): rows that conflict (a 1 meets a −1 in
 some column) stay separate, otherwise elementwise max (logical OR).
 
-Matrix *initialisation* runs as a Spark join on the source key (the
-aligned slice); traversal itself is a driver-side greedy loop over
-|S|-sized numpy arrays — exactly the point of the method: candidates are
-pruned without executing real integrations.
+Matrix *initialisation* encodes the candidate's key-aligned slice (cut
+from its pandas cache, or one Spark semi-join on the source key);
+traversal itself is a driver-side greedy loop over |S|-sized numpy
+arrays — exactly the point of the method: candidates are pruned without
+executing real integrations.
 """
 from __future__ import annotations
 
@@ -24,9 +25,10 @@ from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.core.metrics import aligned_slice
+from repro.core.operators import project_select_pdf
 from repro.lake.repository import canon_str
 
 Matrix = dict[tuple, list[np.ndarray]]
@@ -80,27 +82,34 @@ def encode_matrix(
     return matrix
 
 
+def key_slice(
+    spark: SparkSession, cand, source: pd.DataFrame, key_cols: Sequence[str]
+) -> pd.DataFrame:
+    """A candidate's key-aligned slice: π to S's columns, σ to S's keys.
+
+    ``cand`` is a discovery.Candidate, a plain Spark DataFrame or a pandas
+    frame. A candidate's pandas cache (small raw lake tables) is sliced on
+    the driver; otherwise the slice is one Spark semi-join + collect. The
+    slice is bounded by |S| × fan-out, and both matrix encoding and
+    integration read it.
+    """
+    pdf = cand if isinstance(cand, pd.DataFrame) else getattr(cand, "pdf", None)
+    if pdf is None:
+        cand_df = getattr(cand, "df", cand)
+        keep = [c for c in cand_df.columns if c in set(source.columns)]
+        pdf = aligned_slice(spark, cand_df.select(keep), source, key_cols)
+    return project_select_pdf(pdf, source, key_cols)
+
+
 def matrix_for_candidate(
     spark: SparkSession,
     cand,
     source: pd.DataFrame,
     key_cols: Sequence[str],
 ) -> Matrix:
-    """Alignment (join on the key) then driver-side encoding.
-
-    ``cand`` is a discovery.Candidate or a plain Spark DataFrame. When the
-    candidate carries its pandas cache (small raw lake tables) alignment
-    runs in pandas; otherwise it is a Spark semi-join + collect of the
-    aligned slice.
-    """
-    pdf_cache = getattr(cand, "pdf", None)
-    cand_df = getattr(cand, "df", cand)
-    keep = [c for c in cand_df.columns if c in set(source.columns)]
-    if pdf_cache is not None:
-        aligned = pdf_cache[[c for c in pdf_cache.columns if c in set(source.columns)]]
-    else:
-        aligned = aligned_slice(spark, cand_df.select(keep), source, key_cols)
-    return encode_matrix(source, aligned, key_cols)
+    """Alignment (``key_slice``; a no-op on a slice) then driver-side
+    encoding."""
+    return encode_matrix(source, key_slice(spark, cand, source, key_cols), key_cols)
 
 
 def _conflict(a: np.ndarray, b: np.ndarray) -> bool:

@@ -15,23 +15,18 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import metrics_core as mc
 from repro.core.operators import add_missing_null_columns, as_strings
+from repro.lake.repository import to_spark
 
 # Aligned slices larger than this are truncated before collect — a safety
 # valve for degenerate baseline outputs (documented in DESIGN.md §6).
 MAX_ALIGNED_COLLECT = 500_000
 
 
-def source_to_spark(spark: SparkSession, source: pd.DataFrame) -> DataFrame:
-    from repro.lake.repository import to_spark
-
-    return to_spark(spark, source)
-
-
 def aligned_slice(
     spark: SparkSession, reclaimed: DataFrame, source: pd.DataFrame, key_cols: Sequence[str]
 ) -> pd.DataFrame:
     """Rows of ``reclaimed`` whose key appears in the source, as pandas."""
-    keys = source_to_spark(spark, source[list(key_cols)].drop_duplicates())
+    keys = to_spark(spark, source[list(key_cols)].drop_duplicates())
     sl = as_strings(reclaimed).join(keys, on=list(key_cols), how="leftsemi")
     return sl.limit(MAX_ALIGNED_COLLECT).toPandas()
 
@@ -54,7 +49,7 @@ def evaluate(
         rec, pre = 0.0, 0.0
     else:
         reclaimed = add_missing_null_columns(as_strings(reclaimed), list(source.columns))
-        src_df = source_to_spark(spark, source).distinct()
+        src_df = to_spark(spark, source).distinct()
         n_src = src_df.count()
         dist = reclaimed.distinct()
         dist.cache()

@@ -4,21 +4,25 @@ The representative operator set is {⊎ outer union, σ select, π project,
 β subsumption, κ complementation}. β and κ compare tuple *pairs*; after
 Gen-T's ProjectSelect every tuple carries a non-null source-key value and
 tuples with different keys can neither subsume nor complement each other
-(they disagree on a shared non-null attribute). So the Spark versions
-shuffle by the key columns and run the exact pairwise kernels per key
-group via ``applyInPandas`` (DESIGN.md §4.3) — the same partitioning a JVM
-physical operator would use.
+(they disagree on a shared non-null attribute). So the exact pairwise
+kernels run per key group (``per_key_group``). Gen-T's own integration
+works on |S|-bounded pandas slices on the driver (DESIGN.md §4.3); the
+Spark operators below serve the baselines, whose outputs grow with the
+lake (ALITE blocks κ on a value column through ``_apply_per_group``).
 
-All inputs are all-string DataFrames (lake canonical form); nulls are SQL
+All inputs are all-string frames (lake canonical form); nulls are SQL
 NULL / None.
 """
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+
+from repro.lake.repository import canon_str
 
 # Groups larger than this skip pairwise β/κ (returned unchanged) so one
 # degenerate block cannot make the whole job quadratic; baselines that rely
@@ -44,15 +48,6 @@ def outer_union_all(dfs: Sequence[DataFrame]) -> DataFrame:
     for d in dfs[1:]:
         acc = outer_union(acc, d)
     return acc
-
-
-def inner_union_groups(dfs: Sequence[DataFrame]) -> list[DataFrame]:
-    """InnerUnion (Alg 2 line 4): union tables that share the same schema."""
-    groups: dict[frozenset, DataFrame] = {}
-    for d in dfs:
-        k = frozenset(d.columns)
-        groups[k] = d if k not in groups else groups[k].unionByName(d)
-    return list(groups.values())
 
 
 def project_select(
@@ -155,6 +150,46 @@ def minimal_form_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
     return subsume_pdf(complement_pdf(pdf))
 
 
+def project_select_pdf(
+    pdf: pd.DataFrame, source: pd.DataFrame, key_cols: Sequence[str]
+) -> pd.DataFrame:
+    """ProjectSelect (Alg 2 line 3) on a pandas frame of canonical strings.
+
+    Semi-join semantics, as ``project_select``'s ``leftsemi``: a row with a
+    null key value never matches, duplicate source keys do not multiply
+    rows, and the rows keep their order.
+    """
+    missing = [k for k in key_cols if k not in pdf.columns]
+    if missing:
+        raise ValueError(f"table lacks source key columns {missing}")
+    src_keys = canon_str(source[list(key_cols)]).dropna()
+    wanted = set(src_keys.itertuples(index=False, name=None))
+    mask = np.fromiter(
+        (k in wanted for k in zip(*(pdf[k] for k in key_cols))), dtype=bool, count=len(pdf)
+    )
+    keep = [c for c in pdf.columns if c in source.columns]
+    return pdf.loc[mask, keep].reset_index(drop=True)
+
+
+def inner_union_pdfs(pdfs: Sequence[pd.DataFrame]) -> list[pd.DataFrame]:
+    """InnerUnion (Alg 2 line 4): union tables that share the same schema,
+    in order of each schema's first appearance."""
+    groups: dict[frozenset, list[pd.DataFrame]] = {}
+    for d in pdfs:
+        groups.setdefault(frozenset(d.columns), []).append(d)
+    return [pd.concat(g, ignore_index=True) for g in groups.values()]
+
+
+def per_key_group(
+    pdf: pd.DataFrame, key_cols: Sequence[str], fn: Callable[[pd.DataFrame], pd.DataFrame]
+) -> pd.DataFrame:
+    """Apply a pairwise kernel to each key group; groups keep the order of
+    their first row and each group keeps its row order (κ is
+    order-dependent)."""
+    parts = [fn(g) for _, g in pdf.groupby(list(key_cols), sort=False, dropna=False)]
+    return pd.concat(parts, ignore_index=True) if parts else pdf.iloc[0:0]
+
+
 CLOSURE_CAP = 400  # max tuples materialised per complementation closure
 
 
@@ -207,21 +242,6 @@ def _apply_per_group(
         return out[cols].astype(object).where(out[cols].notna(), None)
 
     return df.groupBy([F.col(c) for c in group_cols]).applyInPandas(_f, schema=df.schema)
-
-
-def subsumption(df: DataFrame, key_cols: Sequence[str]) -> DataFrame:
-    """β over a keyed table — exact, distributed by key group."""
-    return _apply_per_group(df, key_cols, subsume_pdf)
-
-
-def complementation(df: DataFrame, key_cols: Sequence[str]) -> DataFrame:
-    """κ over a keyed table — exact, distributed by key group."""
-    return _apply_per_group(df, key_cols, complement_pdf)
-
-
-def minimal_form(df: DataFrame, key_cols: Sequence[str]) -> DataFrame:
-    """Dedup + κ + β per key group (Alg 2 TakeMinimalForm)."""
-    return _apply_per_group(df, key_cols, minimal_form_pdf)
 
 
 def add_missing_null_columns(df: DataFrame, source_cols: Iterable[str]) -> DataFrame:

@@ -64,14 +64,14 @@ def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     """pandas → all-string Spark DataFrame with an explicit schema.
 
     Explicit schema so all-null columns (legal in canonical form) do not
-    break Spark's type inference.
+    break Spark's type inference. The frame goes over as Arrow batches when
+    the session enables Arrow, not as pickled Python rows.
     """
     from pyspark.sql.types import StringType, StructField, StructType
 
     spdf = canon_str(pdf)
     schema = StructType([StructField(c, StringType(), True) for c in spdf.columns])
-    rows = [tuple(r) for r in spdf.itertuples(index=False)] if len(spdf) else []
-    return spark.createDataFrame(rows, schema=schema)
+    return spark.createDataFrame(spdf, schema=schema)
 
 
 def _to_arrow(pdf: pd.DataFrame) -> pa.Table:

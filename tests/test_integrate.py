@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import integrate as integ
 from repro.core import metrics_core as mc
-from repro.lake.repository import to_spark
 
 KEY = ["ID"]
 
@@ -30,77 +29,106 @@ class TestLabelSourceNulls:
 
 
 class TestApplyRemoveLabels:
-    def test_roundtrip(self, spark, fig3_source, fig3_tables):
+    def test_roundtrip(self, fig3_source, fig3_tables):
         lab = integ.label_source_nulls(fig3_source, KEY)
-        a = to_spark(spark, fig3_tables["A"])
+        labels = integ._labels_by_key(fig3_source, lab, KEY)
         # give A a Gender column with a null where S is null (Smith)
-        from pyspark.sql import functions as F
-
-        a = a.withColumn("Gender", F.lit(None).cast("string"))
-        labeled = integ.apply_null_labels(spark, a, lab, KEY)
-        smith = labeled.where(F.col("ID") == "0").collect()[0]
+        a = fig3_tables["A"].assign(Gender=None)
+        labeled = integ._apply_labels(a, labels, KEY)
+        smith = labeled[labeled["ID"] == "0"].iloc[0]
         assert smith["Gender"].startswith(integ.LABEL_PREFIX)
         # Brown's Gender is non-null in S, so his table-null stays null
-        brown = labeled.where(F.col("ID") == "1").collect()[0]
+        brown = labeled[labeled["ID"] == "1"].iloc[0]
         assert brown["Gender"] is None
         # and removal restores nulls
-        restored = integ.remove_labeled_nulls(labeled)
-        assert restored.where(F.col("ID") == "0").collect()[0]["Gender"] is None
+        restored = integ._revert_labels(labeled, labels)
+        assert restored[restored["ID"] == "0"].iloc[0]["Gender"] is None
+
+    def test_only_produced_labels_revert(self):
+        src = pd.DataFrame({"ID": ["0", "1"], "a": [None, "##NULL##x"]})
+        lab = integ.label_source_nulls(src, KEY)
+        labels = integ._labels_by_key(src, lab, KEY)
+        restored = integ._revert_labels(lab, labels)
+        assert restored["a"].tolist() == [None, "##NULL##x"]
+
+
+def _keyed_d(fig3_tables):
+    ids = {"Smith": "0", "Brown": "1", "Wang": "2"}
+    d = fig3_tables["D"].copy()
+    d.insert(0, "ID", d["Name"].map(ids))
+    return d
 
 
 class TestIntegrate:
-    def test_perfect_reclamation_from_complementary_tables(self, spark, fig3_source, fig3_tables):
-        ids = {"Smith": "0", "Brown": "1", "Wang": "2"}
-        d = fig3_tables["D"].copy()
-        d.insert(0, "ID", d["Name"].map(ids))
-        tables = [to_spark(spark, fig3_tables["A"]), to_spark(spark, d)]
-        out = integ.integrate(spark, tables, fig3_source, KEY).toPandas()
+    def test_perfect_reclamation_from_complementary_tables(self, fig3_source, fig3_tables):
+        tables = [fig3_tables["A"], _keyed_d(fig3_tables)]
+        out = integ.integrate(tables, fig3_source, KEY)
         assert mc.is_perfect(fig3_source, out)
 
-    def test_erroneous_table_does_not_corrupt_source_tuples(
-        self, spark, fig3_source, fig3_tables
-    ):
+    def test_erroneous_table_does_not_corrupt_source_tuples(self, fig3_source, fig3_tables):
         ids = {"Smith": "0", "Brown": "1", "Wang": "2"}
         c = fig3_tables["C"].copy()  # all-Male Gender, partly wrong
         c.insert(0, "ID", c["Name"].map(ids))
-        d = fig3_tables["D"].copy()
-        d.insert(0, "ID", d["Name"].map(ids))
-        tables = [to_spark(spark, fig3_tables["A"]), to_spark(spark, d), to_spark(spark, c)]
-        out = integ.integrate(spark, tables, fig3_source, KEY).toPandas()
+        tables = [fig3_tables["A"], _keyed_d(fig3_tables), c]
+        out = integ.integrate(tables, fig3_source, KEY)
         rec, pre = mc.recall_precision(fig3_source, out)
         # every source tuple is still reclaimed; C's contradictions may add
         # extra tuples but must not overwrite correct ones
         assert rec == 1.0
         assert mc.eis(fig3_source, out, KEY) >= 0.9
 
-    def test_missing_column_padded(self, spark, fig3_source, fig3_tables):
-        out = integ.integrate(
-            spark, [to_spark(spark, fig3_tables["A"])], fig3_source, KEY
-        )
-        assert out.columns == list(fig3_source.columns)
+    def test_missing_column_padded(self, fig3_source, fig3_tables):
+        out = integ.integrate([fig3_tables["A"]], fig3_source, KEY)
+        assert list(out.columns) == list(fig3_source.columns)
+        assert out["Age"].isna().all()
 
-    def test_select_drops_foreign_keys(self, spark, fig3_source, fig3_tables):
+    def test_select_drops_foreign_keys(self, fig3_source, fig3_tables):
         a = fig3_tables["A"].copy()
         a.loc[len(a)] = ["99", "Stranger", "PhD"]
-        out = integ.integrate(spark, [to_spark(spark, a)], fig3_source, KEY).toPandas()
+        out = integ.integrate([a], fig3_source, KEY)
         assert "99" not in set(out["ID"])
 
-    def test_empty_input(self, spark, fig3_source):
-        assert integ.integrate(spark, [], fig3_source, KEY) is None
+    def test_empty_input(self, fig3_source):
+        assert integ.integrate([], fig3_source, KEY) is None
 
-    def test_table_without_key_skipped(self, spark, fig3_source, fig3_tables):
-        b = to_spark(spark, fig3_tables["B"])  # no ID column
-        assert integ.integrate(spark, [b], fig3_source, KEY) is None
+    def test_table_without_key_skipped(self, fig3_source, fig3_tables):
+        assert integ.integrate([fig3_tables["B"]], fig3_source, KEY) is None
 
-    def test_no_labeled_values_leak(self, spark, fig3_source, fig3_tables):
-        ids = {"Smith": "0", "Brown": "1", "Wang": "2"}
-        d = fig3_tables["D"].copy()
-        d.insert(0, "ID", d["Name"].map(ids))
+    def test_no_labeled_values_leak(self, fig3_source, fig3_tables):
         out = integ.integrate(
-            spark, [to_spark(spark, fig3_tables["A"]), to_spark(spark, d)], fig3_source, KEY
-        ).toPandas()
+            [fig3_tables["A"], _keyed_d(fig3_tables)], fig3_source, KEY
+        )
         for c in out.columns:
             assert not out[c].astype(str).str.startswith(integ.LABEL_PREFIX).any()
+
+    def test_label_lookalike_lake_value_survives(self):
+        # a genuine value that starts with the label prefix is data, not a
+        # label: integration must return it unchanged
+        src = pd.DataFrame({"ID": ["0", "1"], "a": ["##NULL##x", None], "b": ["p", "q"]})
+        t1 = pd.DataFrame({"ID": ["0", "1"], "a": ["##NULL##x", None]})
+        t2 = pd.DataFrame({"ID": ["0", "1"], "b": ["p", "q"]})
+        out = integ.integrate([t1, t2], src, KEY)
+        assert mc.is_perfect(src, out)
+        assert out.loc[out["ID"] == "0", "a"].tolist() == ["##NULL##x"]
+
+    def test_runs_no_spark_job(self, spark, fig3_source, fig3_tables):
+        # integration works on |S|-bounded slices on the driver; any Spark
+        # work creeping back in shows up as a job in this group
+        sc = spark.sparkContext
+        group = "integrate-no-spark"
+        sc.setJobGroup(group, "integrate must not start Spark jobs")
+        try:
+            ids = {"Smith": "0", "Brown": "1", "Wang": "2"}
+            c = fig3_tables["C"].copy()
+            c.insert(0, "ID", c["Name"].map(ids))
+            out = integ.integrate(
+                [fig3_tables["A"], _keyed_d(fig3_tables), c], fig3_source, KEY
+            )
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)  # job events are async
+        assert len(out) >= len(fig3_source)
+        assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
 
 
 class TestGenTEndToEnd:

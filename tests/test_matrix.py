@@ -157,3 +157,19 @@ class TestMatrixForCandidate(object):
         df = to_spark(spark, fig3_tables["A"])
         m = mtx.matrix_for_candidate(spark, df, fig3_source, KEY)
         assert m[("0",)][0].tolist() == [1, 1, 0, 1, 1]
+
+    def test_slice_from_cache_matches_spark(self, spark, fig3_source, fig3_tables):
+        from types import SimpleNamespace
+
+        from repro.lake.repository import to_spark
+
+        a = fig3_tables["A"].copy()
+        a.loc[len(a)] = ["99", "Stranger", "PhD"]  # key not in S
+        a.loc[len(a)] = [None, "Nobody", "PhD"]  # null key
+        df = to_spark(spark, a)
+        cached = mtx.key_slice(spark, SimpleNamespace(df=df, pdf=a), fig3_source, KEY)
+        via_spark = mtx.key_slice(spark, df, fig3_source, KEY)
+        assert cached["ID"].tolist() == ["0", "1", "2"]
+        assert sorted(cached.values.tolist(), key=repr) == sorted(
+            via_spark.values.tolist(), key=repr
+        )

@@ -1,4 +1,5 @@
-"""Integration operators: pure kernels, Spark wrappers, Theorem 8 lemmas."""
+"""Integration operators: pure kernels, per-key-group pandas helpers,
+Spark operators, Theorem 8 lemmas."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -6,11 +7,21 @@ from pyspark.sql import functions as F
 from repro.core import operators as ops
 
 
+def _sorted(tuples):
+    return sorted(tuples, key=lambda t: tuple((v is None, v or "") for v in t))
+
+
 def rows(df):
     """Spark DF → sorted list of value tuples (None-normalized)."""
-    return sorted(
-        (tuple(r[c] for c in sorted(df.columns)) for r in df.collect()),
-        key=lambda t: tuple((v is None, v or "") for v in t),
+    return _sorted(tuple(r[c] for c in sorted(df.columns)) for r in df.collect())
+
+
+def prows(pdf):
+    """pandas frame → sorted list of value tuples (None-normalized)."""
+    cols = sorted(pdf.columns)
+    return _sorted(
+        tuple(None if pd.isna(v) else v for v in r)
+        for r in pdf[cols].itertuples(index=False)
     )
 
 
@@ -183,12 +194,106 @@ class TestProjectSelect:
             ops.project_select(t, ["k", "a"], ["k"], keys)
 
 
+class TestProjectSelectPdf:
+    """The pandas ProjectSelect keeps ``project_select``'s semi-join semantics."""
+
+    def test_projects_and_selects_in_order(self):
+        t = pd.DataFrame(
+            {"k": ["3", "1", "2"], "a": ["z", "x", "y"], "junk": ["j"] * 3}
+        )
+        src = pd.DataFrame({"k": ["1", "3"], "a": ["x", "z"]})
+        out = ops.project_select_pdf(t, src, ["k"])
+        assert list(out.columns) == ["k", "a"]
+        assert out.values.tolist() == [["3", "z"], ["1", "x"]]
+
+    def test_null_key_row_dropped(self):
+        # pandas merge would match NaN to NaN; Spark's leftsemi does not
+        t = pd.DataFrame({"k": ["1", None], "a": ["x", "y"]}, dtype=object)
+        src = pd.DataFrame({"k": ["1", None], "a": ["x", "y"]}, dtype=object)
+        out = ops.project_select_pdf(t, src, ["k"])
+        assert out.values.tolist() == [["1", "x"]]
+
+    def test_duplicate_source_keys_do_not_multiply(self):
+        t = pd.DataFrame({"k": ["1", "2"], "a": ["x", "y"]})
+        src = pd.DataFrame({"k": ["1", "1", "1"], "a": ["x", "p", "q"]})
+        out = ops.project_select_pdf(t, src, ["k"])
+        assert out.values.tolist() == [["1", "x"]]
+
+    def test_composite_key_and_typed_source(self):
+        t = pd.DataFrame({"k1": ["1", "1"], "k2": ["a", "b"], "v": ["x", "y"]})
+        src = pd.DataFrame({"k1": [1], "k2": ["b"], "v": ["y"]})  # canonicalised
+        out = ops.project_select_pdf(t, src, ["k1", "k2"])
+        assert out.values.tolist() == [["1", "b", "y"]]
+
+    def test_missing_key_raises(self):
+        t = pd.DataFrame({"a": ["x"]})
+        with pytest.raises(ValueError):
+            ops.project_select_pdf(t, pd.DataFrame({"k": ["1"], "a": ["x"]}), ["k"])
+
+
+class TestKeyedPairwise:
+    def test_subsumption_grouped_by_key(self):
+        pdf = pd.DataFrame(
+            {"k": ["1", "1", "2"], "a": ["x", None, None], "b": ["y", "y", "q"]}
+        )
+        out = ops.per_key_group(pdf, ["k"], ops.subsume_pdf)
+        assert set(out[["k", "a", "b"]].itertuples(index=False, name=None)) == {
+            ("1", "x", "y"), ("2", None, "q")
+        }
+
+    def test_complementation_grouped_by_key(self):
+        pdf = pd.DataFrame(
+            {"k": ["1", "1", "2"], "a": ["x", None, "w"], "b": [None, "y", None]}
+        )
+        out = ops.per_key_group(pdf, ["k"], ops.complement_pdf)
+        assert set(out[["k", "a", "b"]].itertuples(index=False, name=None)) == {
+            ("1", "x", "y"), ("2", "w", None)
+        }
+
+    def test_minimal_form(self):
+        pdf = pd.DataFrame(
+            {"k": ["1", "1", "1"], "a": ["x", "x", None], "b": [None, None, "y"]}
+        )
+        out = ops.per_key_group(pdf, ["k"], ops.minimal_form_pdf)
+        assert set(out[["k", "a", "b"]].itertuples(index=False, name=None)) == {
+            ("1", "x", "y")
+        }
+
+    def test_multi_key_grouping(self):
+        pdf = pd.DataFrame(
+            {
+                "k1": ["1", "1"],
+                "k2": ["a", "b"],
+                "v": ["x", None],
+                "w": [None, "y"],
+            }
+        )
+        # different composite keys → no complementation across groups
+        out = ops.per_key_group(pdf, ["k1", "k2"], ops.complement_pdf)
+        assert len(out) == 2
+
+    def test_groups_keep_first_appearance_order(self):
+        # κ is order-dependent: groups in order of their first row, rows in
+        # input order within a group
+        pdf = pd.DataFrame({"k": ["2", "1", "2"], "a": ["p", "x", "q"]})
+        out = ops.per_key_group(pdf, ["k"], lambda g: g)
+        assert out.values.tolist() == [["2", "p"], ["2", "q"], ["1", "x"]]
+
+    def test_empty(self):
+        pdf = pd.DataFrame({"k": [], "a": []}, dtype=object)
+        out = ops.per_key_group(pdf, ["k"], ops.minimal_form_pdf)
+        assert list(out.columns) == ["k", "a"] and len(out) == 0
+
+
 class TestSparkPairwise:
+    """``_apply_per_group``, the Spark per-group wrapper ALITE blocks κ/β
+    through, runs the same kernels as ``per_key_group``."""
+
     def test_subsumption_grouped_by_key(self, spark):
         pdf = pd.DataFrame(
             {"k": ["1", "1", "2"], "a": ["x", None, None], "b": ["y", "y", "q"]}
         )
-        out = ops.subsumption(spark.createDataFrame(pdf), ["k"])
+        out = ops._apply_per_group(spark.createDataFrame(pdf), ["k"], ops.subsume_pdf)
         got = {tuple(r) for r in out.select("k", "a", "b").collect()}
         assert got == {("1", "x", "y"), ("2", None, "q")}
 
@@ -196,7 +301,7 @@ class TestSparkPairwise:
         pdf = pd.DataFrame(
             {"k": ["1", "1", "2"], "a": ["x", None, "w"], "b": [None, "y", None]}
         )
-        out = ops.complementation(spark.createDataFrame(pdf), ["k"])
+        out = ops._apply_per_group(spark.createDataFrame(pdf), ["k"], ops.complement_pdf)
         got = {tuple(r) for r in out.select("k", "a", "b").collect()}
         assert got == {("1", "x", "y"), ("2", "w", None)}
 
@@ -204,7 +309,7 @@ class TestSparkPairwise:
         pdf = pd.DataFrame(
             {"k": ["1", "1", "1"], "a": ["x", "x", None], "b": [None, None, "y"]}
         )
-        out = ops.minimal_form(spark.createDataFrame(pdf), ["k"])
+        out = ops._apply_per_group(spark.createDataFrame(pdf), ["k"], ops.minimal_form_pdf)
         got = {tuple(r) for r in out.select("k", "a", "b").collect()}
         assert got == {("1", "x", "y")}
 
@@ -218,7 +323,9 @@ class TestSparkPairwise:
             }
         )
         # different composite keys → no complementation across groups
-        out = ops.complementation(spark.createDataFrame(pdf), ["k1", "k2"])
+        out = ops._apply_per_group(
+            spark.createDataFrame(pdf), ["k1", "k2"], ops.complement_pdf
+        )
         assert out.count() == 2
 
 
@@ -232,14 +339,15 @@ class TestAddMissingNullColumns:
 
 
 class TestInnerUnionGroups:
-    def test_groups_by_schema(self, spark):
-        t1 = spark.createDataFrame(pd.DataFrame({"k": ["1"], "a": ["x"]}))
-        t2 = spark.createDataFrame(pd.DataFrame({"a": ["y"], "k": ["2"]}))
-        t3 = spark.createDataFrame(pd.DataFrame({"k": ["3"], "b": ["z"]}))
-        out = ops.inner_union_groups([t1, t2, t3])
+    def test_groups_by_schema(self):
+        t1 = pd.DataFrame({"k": ["1"], "a": ["x"]})
+        t2 = pd.DataFrame({"a": ["y"], "k": ["2"]})
+        t3 = pd.DataFrame({"k": ["3"], "b": ["z"]})
+        out = ops.inner_union_pdfs([t1, t2, t3])
         assert len(out) == 2
-        sizes = sorted(d.count() for d in out)
-        assert sizes == [1, 2]
+        assert [len(d) for d in out] == [2, 1]
+        assert list(out[0].columns) == ["k", "a"]
+        assert out[0].values.tolist() == [["1", "x"], ["2", "y"]]
 
 
 # ---------------------------------------------------------------------------
@@ -247,48 +355,47 @@ class TestInnerUnionGroups:
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
-def lemma_tables(spark):
-    t1 = spark.createDataFrame(
-        pd.DataFrame({"k": ["1", "2", "3"], "a": ["a1", "a2", "a3"]})
-    )
-    t2 = spark.createDataFrame(
-        pd.DataFrame({"k": ["2", "3", "4"], "b": ["b2", "b3", "b4"]})
-    )
+def lemma_tables():
+    t1 = pd.DataFrame({"k": ["1", "2", "3"], "a": ["a1", "a2", "a3"]})
+    t2 = pd.DataFrame({"k": ["2", "3", "4"], "b": ["b2", "b3", "b4"]})
     return t1, t2
+
+
+def _union(*pdfs):
+    return pd.concat(pdfs, ignore_index=True)
+
+
+def _beta(pdf, key):
+    return ops.per_key_group(pdf, [key], ops.subsume_pdf)
 
 
 class TestTheorem8:
     def _fd_combine(self, t1, t2, key):
         # β(κ(T1 ⊎ T2)) — combine on shared key values
-        u = ops.outer_union(t1, t2)
-        return ops.subsumption(ops.complementation(u, [key]), [key])
+        u = _union(t1, t2)
+        return _beta(ops.per_key_group(u, [key], ops.complement_pdf), key)
 
-    def test_lemma12_inner_join(self, spark, lemma_tables):
-        t1, t2 = lemma_tables
-        via_ops = self._fd_combine(t1, t2, "k").where(
-            F.col("a").isNotNull() & F.col("b").isNotNull()
-        )
-        real = t1.join(t2, on="k", how="inner")
-        assert rows(via_ops) == rows(real)
+    def _inner(self, t1, t2):
+        fd = self._fd_combine(t1, t2, "k")
+        return fd[fd["a"].notna() & fd["b"].notna()]
 
-    def test_lemma13_left_join(self, spark, lemma_tables):
+    def test_lemma12_inner_join(self, lemma_tables):
         t1, t2 = lemma_tables
-        inner = self._fd_combine(t1, t2, "k").where(
-            F.col("a").isNotNull() & F.col("b").isNotNull()
-        )
-        via_ops = ops.subsumption(ops.outer_union(inner, t1), ["k"])
-        real = t1.join(t2, on="k", how="left")
-        assert rows(via_ops) == rows(real)
+        real = t1.merge(t2, on="k", how="inner")
+        assert prows(self._inner(t1, t2)) == prows(real)
 
-    def test_lemma14_full_outer_join(self, spark, lemma_tables):
+    def test_lemma13_left_join(self, lemma_tables):
         t1, t2 = lemma_tables
-        inner = self._fd_combine(t1, t2, "k").where(
-            F.col("a").isNotNull() & F.col("b").isNotNull()
-        )
-        left = ops.subsumption(ops.outer_union(inner, t1), ["k"])
-        via_ops = ops.subsumption(ops.outer_union(left, t2), ["k"])
-        real = t1.join(t2, on="k", how="outer")
-        assert rows(via_ops) == rows(real)
+        via_ops = _beta(_union(self._inner(t1, t2), t1), "k")
+        real = t1.merge(t2, on="k", how="left")
+        assert prows(via_ops) == prows(real)
+
+    def test_lemma14_full_outer_join(self, lemma_tables):
+        t1, t2 = lemma_tables
+        left = _beta(_union(self._inner(t1, t2), t1), "k")
+        via_ops = _beta(_union(left, t2), "k")
+        real = t1.merge(t2, on="k", how="outer")
+        assert prows(via_ops) == prows(real)
 
     def test_lemma11_inner_union(self, spark):
         t1 = spark.createDataFrame(pd.DataFrame({"k": ["1"], "a": ["x"]}))
