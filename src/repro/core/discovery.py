@@ -131,14 +131,9 @@ def _column_containments(
         )
         pdf = pdf.merge(extents, on=["table", "col"], how="left")
         pdf["extent"] = pdf["extent"].fillna(1).astype(int)
-        pdf["overlap"] = pdf.apply(
-            lambda r: r["n_shared"] / src_sizes[r["src_col"]], axis=1
-        )
-        pdf["jac"] = pdf.apply(
-            lambda r: r["n_shared"]
-            / max(1, src_sizes[r["src_col"]] + r["extent"] - r["n_shared"]),
-            axis=1,
-        )
+        size = pdf["src_col"].map(src_sizes)
+        pdf["overlap"] = pdf["n_shared"] / size
+        pdf["jac"] = pdf["n_shared"] / (size + pdf["extent"] - pdf["n_shared"]).clip(lower=1)
         pdf["vals"] = pdf["vals"].map(frozenset)
         pdf = pdf.sort_values(
             ["src_col", "overlap", "table", "col"],

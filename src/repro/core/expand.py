@@ -199,9 +199,13 @@ def _join_spark(df: DataFrame, right: DataFrame, ca: str, cb: str) -> DataFrame:
 def _join_pdfs(
     lp: pd.DataFrame, rp: pd.DataFrame, ca: str, cb: str
 ) -> pd.DataFrame:
-    """Pandas mirror of ``_join_spark`` (powers cheap matrix encoding)."""
+    """Pandas mirror of ``_join_spark``: its result feeds both matrix
+    encoding and integration. pandas ``merge`` matches null to null, SQL's
+    equi-join does not, so null join values are dropped first."""
     shared = [c for c in lp.columns if c in set(rp.columns)]
-    merged = lp.merge(rp, left_on=ca, right_on=cb, how="inner", suffixes=("", "\x00r"))
+    merged = lp[lp[ca].notna()].merge(
+        rp[rp[cb].notna()], left_on=ca, right_on=cb, how="inner", suffixes=("", "\x00r")
+    )
     for c in shared:
         rc = f"{c}\x00r"
         if rc in merged.columns:
@@ -231,10 +235,7 @@ def _materialise_path(
         ca, cb, _w = edges[(prev, nxt)]
         nxt_c = by_name[nxt]
         df = _join_spark(df, nxt_c.df, ca, cb)
-        if pdf is not None and nxt_c.pdf is not None:
-            pdf = _join_pdfs(pdf, nxt_c.pdf, ca, cb)
-        else:
-            pdf = None
+        pdf = None if pdf is None or nxt_c.pdf is None else _join_pdfs(pdf, nxt_c.pdf, ca, cb)
         for k in key_cols:
             if k not in mapping and k in nxt_c.mapping:
                 mapping[k] = nxt_c.mapping[k]

@@ -83,10 +83,8 @@ def reclaim_from_candidates(
     set (the runner hands the same set to every method, paper §VI-B)."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-
-    t2 = time.perf_counter()
     cands = exp.expand(spark, repo, cands, key_cols, source=source)
-    timings["expand"] = time.perf_counter() - t2
+    timings["expand"] = time.perf_counter() - t0
     if not cands:
         timings["total"] = time.perf_counter() - t0
         return GenTResult(None, [], [], timings)
@@ -95,8 +93,7 @@ def reclaim_from_candidates(
     # one |S|-bounded slice per candidate, shared by encoding and integration
     slices = {c.name: mtx.key_slice(spark, c, source, key_cols) for c in cands}
     matrices = {
-        n: mtx.matrix_for_candidate(spark, sl, source, key_cols)
-        for n, sl in slices.items()
+        n: mtx.matrix_for_candidate(spark, sl, source, key_cols) for n, sl in slices.items()
     }
     orig_names = mtx.matrix_traversal(matrices, source, key_cols)
     timings["matrix_traversal"] = time.perf_counter() - t3

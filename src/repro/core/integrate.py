@@ -46,36 +46,36 @@ def label_source_nulls(source: pd.DataFrame, key_cols: Sequence[str]) -> pd.Data
     return out
 
 
-def _labels_by_key(
+def _null_labels(
     src: pd.DataFrame, labeled_source: pd.DataFrame, key_cols: Sequence[str]
-) -> dict[str, dict[tuple, str]]:
-    """Per non-key column: S's key → the label at S's null in that column."""
-    out = {}
-    for c in src.columns:
-        if c not in key_cols:
-            null = src[c].isna()
-            keys = zip(*(src.loc[null, k] for k in key_cols))
-            out[c] = dict(zip(keys, labeled_source.loc[null, c]))
-    return out
+) -> pd.DataFrame:
+    """S's distinct keys with, per non-key column, the label where S has a
+    null there and null elsewhere."""
+    nk = [c for c in src.columns if c not in key_cols]
+    out = labeled_source.copy()
+    out[nk] = out[nk].where(src[nk].isna(), None)
+    return out.groupby(list(key_cols), sort=False).first().reset_index()
 
 
 def _apply_labels(
-    pdf: pd.DataFrame, labels: dict[str, dict[tuple, str]], key_cols: Sequence[str]
+    pdf: pd.DataFrame, labels: pd.DataFrame, key_cols: Sequence[str]
 ) -> pd.DataFrame:
     """Substitute S's labels into the table's nulls at S's null positions."""
-    keys = list(zip(*(pdf[k] for k in key_cols)))
+    fill = pdf[list(key_cols)].merge(labels, on=list(key_cols), how="left")
     out = pdf.copy()
-    for c, by_key in labels.items():
-        if c in out.columns and by_key:
-            fill = pd.Series([by_key.get(k) for k in keys], index=out.index, dtype=object)
-            out[c] = out[c].where(out[c].notna(), fill)
+    for c in out.columns:
+        if c not in key_cols:
+            out[c] = out[c].where(out[c].notna(), fill[c].to_numpy())
     return out
 
 
-def _revert_labels(pdf: pd.DataFrame, labels: dict[str, dict[tuple, str]]) -> pd.DataFrame:
+def _revert_labels(
+    pdf: pd.DataFrame, labels: pd.DataFrame, key_cols: Sequence[str]
+) -> pd.DataFrame:
     """RemoveLabeledNulls: exactly the labels ``label_source_nulls`` made
     become null again; a lake value that merely looks like one stays."""
-    produced = [v for by_key in labels.values() for v in by_key.values()]
+    cells = labels.drop(columns=list(key_cols)).to_numpy().ravel()
+    produced = [v for v in cells if isinstance(v, str)]
     out = pdf.astype(object)
     return out.where(out.notna() & ~out.isin(produced), None)
 
@@ -103,9 +103,9 @@ def integrate(
         return None
 
     labeled_source = label_source_nulls(src, key_cols)
-    labels = _labels_by_key(src, labeled_source, key_cols)
+    labels = _null_labels(src, labeled_source, key_cols)
     minimal = [
-        ops.per_key_group(_apply_labels(t, labels, key_cols), key_cols, ops.minimal_form_pdf)
+        ops.per_key_group(_apply_labels(t, labels, key_cols), key_cols, ops.minimal_form_rows)
         for t in ops.inner_union_pdfs(pre)
     ]
 
@@ -113,12 +113,12 @@ def integrate(
     for t in minimal:
         acc = t if acc is None else pd.concat([acc, t], ignore_index=True)
         base = mc.eis(labeled_source, acc, key_cols)
-        comp = ops.per_key_group(acc, key_cols, ops.complement_pdf)
+        comp = ops.per_key_group(acc, key_cols, ops.complement_rows)
         if mc.eis(labeled_source, comp, key_cols) >= base:
             acc = comp
             base = mc.eis(labeled_source, acc, key_cols)
-        sub = ops.per_key_group(acc, key_cols, ops.subsume_pdf)
+        sub = ops.per_key_group(acc, key_cols, ops.subsume_rows)
         if mc.eis(labeled_source, sub, key_cols) >= base:
             acc = sub
 
-    return _revert_labels(acc.reindex(columns=list(src.columns)), labels)
+    return _revert_labels(acc.reindex(columns=list(src.columns)), labels, key_cols)

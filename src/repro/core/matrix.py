@@ -87,13 +87,12 @@ def key_slice(
 ) -> pd.DataFrame:
     """A candidate's key-aligned slice: π to S's columns, σ to S's keys.
 
-    ``cand`` is a discovery.Candidate, a plain Spark DataFrame or a pandas
-    frame. A candidate's pandas cache (small raw lake tables) is sliced on
-    the driver; otherwise the slice is one Spark semi-join + collect. The
-    slice is bounded by |S| × fan-out, and both matrix encoding and
-    integration read it.
+    ``cand`` is a discovery.Candidate or a Spark DataFrame. A candidate's
+    pandas cache (small raw lake tables) is sliced on the driver; otherwise
+    the slice is one Spark semi-join + collect. The slice is bounded by
+    |S| × fan-out, and both matrix encoding and integration read it.
     """
-    pdf = cand if isinstance(cand, pd.DataFrame) else getattr(cand, "pdf", None)
+    pdf = getattr(cand, "pdf", None)
     if pdf is None:
         cand_df = getattr(cand, "df", cand)
         keep = [c for c in cand_df.columns if c in set(source.columns)]
@@ -102,14 +101,13 @@ def key_slice(
 
 
 def matrix_for_candidate(
-    spark: SparkSession,
-    cand,
-    source: pd.DataFrame,
-    key_cols: Sequence[str],
+    spark: SparkSession, cand, source: pd.DataFrame, key_cols: Sequence[str]
 ) -> Matrix:
-    """Alignment (``key_slice``; a no-op on a slice) then driver-side
-    encoding."""
-    return encode_matrix(source, key_slice(spark, cand, source, key_cols), key_cols)
+    """Eq 4 matrix of a candidate: ``cand`` is its pandas key slice (as
+    ``key_slice`` cuts it), or anything ``key_slice`` accepts."""
+    if not isinstance(cand, pd.DataFrame):
+        cand = key_slice(spark, cand, source, key_cols)
+    return encode_matrix(source, cand, key_cols)
 
 
 def _conflict(a: np.ndarray, b: np.ndarray) -> bool:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -109,24 +108,27 @@ def _merge(t1: tuple, t2: tuple) -> tuple:
     return tuple(a if a is not None else b for a, b in zip(t1, t2))
 
 
-def subsume_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
-    """β on a pandas frame: drop duplicates and subsumed tuples."""
-    rows = list(dict.fromkeys(_rows(pdf)))
-    if len(rows) > MAX_PAIRWISE_GROUP:
-        return pd.DataFrame(rows, columns=list(pdf.columns), dtype=object)
-    keep = []
-    for i, t2 in enumerate(rows):
-        if any(i != j and _subsumes(t1, t2) for j, t1 in enumerate(rows)):
-            continue
-        keep.append(t2)
-    return pd.DataFrame(keep, columns=list(pdf.columns), dtype=object)
+def _frame(rows: list[tuple], columns: Iterable[str]) -> pd.DataFrame:
+    return pd.DataFrame(rows, columns=list(columns), dtype=object)
 
 
-def complement_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
-    """κ on a pandas frame: repeatedly merge complementing pairs to fixpoint."""
-    rows = list(dict.fromkeys(_rows(pdf)))
+def subsume_rows(rows: list[tuple]) -> list[tuple]:
+    """β over row tuples: drop duplicates and subsumed tuples."""
+    rows = list(dict.fromkeys(rows))
     if len(rows) > MAX_PAIRWISE_GROUP:
-        return pd.DataFrame(rows, columns=list(pdf.columns), dtype=object)
+        return rows
+    return [
+        t2
+        for i, t2 in enumerate(rows)
+        if not any(i != j and _subsumes(t1, t2) for j, t1 in enumerate(rows))
+    ]
+
+
+def complement_rows(rows: list[tuple]) -> list[tuple]:
+    """κ over row tuples: repeatedly merge complementing pairs to fixpoint."""
+    rows = list(dict.fromkeys(rows))
+    if len(rows) > MAX_PAIRWISE_GROUP:
+        return rows
     changed = True
     while changed:
         changed = False
@@ -142,12 +144,22 @@ def complement_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
                     break
             if changed:
                 break
-    return pd.DataFrame(rows, columns=list(pdf.columns), dtype=object)
+    return rows
 
 
-def minimal_form_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
+def minimal_form_rows(rows: list[tuple]) -> list[tuple]:
     """TakeMinimalForm (Alg 2 line 6): dedup, then κ, then β."""
-    return subsume_pdf(complement_pdf(pdf))
+    return subsume_rows(complement_rows(rows))
+
+
+def _on_frame(kernel: Callable[[list[tuple]], list[tuple]]):
+    """The pandas-frame form of a row kernel (unit tests, ALITE's blocks)."""
+    return lambda pdf: _frame(kernel(_rows(pdf)), pdf.columns)
+
+
+subsume_pdf = _on_frame(subsume_rows)
+complement_pdf = _on_frame(complement_rows)
+minimal_form_pdf = _on_frame(minimal_form_rows)
 
 
 def project_select_pdf(
@@ -164,9 +176,7 @@ def project_select_pdf(
         raise ValueError(f"table lacks source key columns {missing}")
     src_keys = canon_str(source[list(key_cols)]).dropna()
     wanted = set(src_keys.itertuples(index=False, name=None))
-    mask = np.fromiter(
-        (k in wanted for k in zip(*(pdf[k] for k in key_cols))), dtype=bool, count=len(pdf)
-    )
+    mask = [k in wanted for k in zip(*(pdf[k] for k in key_cols))]
     keep = [c for c in pdf.columns if c in source.columns]
     return pdf.loc[mask, keep].reset_index(drop=True)
 
@@ -181,13 +191,18 @@ def inner_union_pdfs(pdfs: Sequence[pd.DataFrame]) -> list[pd.DataFrame]:
 
 
 def per_key_group(
-    pdf: pd.DataFrame, key_cols: Sequence[str], fn: Callable[[pd.DataFrame], pd.DataFrame]
+    pdf: pd.DataFrame, key_cols: Sequence[str], fn: Callable[[list[tuple]], list[tuple]]
 ) -> pd.DataFrame:
-    """Apply a pairwise kernel to each key group; groups keep the order of
-    their first row and each group keeps its row order (κ is
-    order-dependent)."""
-    parts = [fn(g) for _, g in pdf.groupby(list(key_cols), sort=False, dropna=False)]
-    return pd.concat(parts, ignore_index=True) if parts else pdf.iloc[0:0]
+    """Apply a pairwise row kernel (``*_rows``) to each key group; groups
+    keep the order of their first row and each group keeps its row order
+    (κ is order-dependent). A one-row group is passed through: dedup, β
+    and κ leave it unchanged."""
+    cols = list(pdf.columns)
+    kidx = [cols.index(k) for k in key_cols]
+    groups: dict[tuple, list[tuple]] = {}
+    for r in _rows(pdf):
+        groups.setdefault(tuple(r[i] for i in kidx), []).append(r)
+    return _frame([t for g in groups.values() for t in (g if len(g) == 1 else fn(g))], cols)
 
 
 CLOSURE_CAP = 400  # max tuples materialised per complementation closure
@@ -205,7 +220,7 @@ def complement_closure_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
     """
     rows = list(dict.fromkeys(_rows(pdf)))
     if len(rows) > MAX_PAIRWISE_GROUP:
-        return pd.DataFrame(rows, columns=list(pdf.columns), dtype=object)
+        return _frame(rows, pdf.columns)
     all_rows: set[tuple] = set(rows)
     changed = True
     while changed and len(all_rows) < CLOSURE_CAP:
@@ -222,9 +237,7 @@ def complement_closure_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
                             break
             if len(all_rows) >= CLOSURE_CAP:
                 break
-    return subsume_pdf(
-        pd.DataFrame(list(all_rows), columns=list(pdf.columns), dtype=object)
-    )
+    return _frame(subsume_rows(list(all_rows)), pdf.columns)
 
 
 # ---------------------------------------------------------------------------

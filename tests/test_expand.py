@@ -95,3 +95,39 @@ class TestBestPaths:
 
     def test_no_path(self):
         assert exp._best_paths("a", {"z"}, {"a": []}, top_p=2) == []
+
+
+class TestJoinNulls:
+    """An Expand path's pandas cache feeds integration, so it must join as
+    SQL does: a null join value matches nothing."""
+
+    def test_null_join_values_do_not_pair(self, spark):
+        import pandas as pd
+
+        from repro.core import matrix as mtx
+        from repro.lake.repository import to_spark
+
+        source = pd.DataFrame(
+            {"ID": ["0", "1", "2"], "Name": ["Smith", "Brown", "Wang"],
+             "Gender": ["Male", "Female", "Female"]}
+        )
+        keyless = pd.DataFrame(
+            {"Name": [None, None, "Wang"], "Gender": ["Male", "Female", "Female"]}
+        )
+        keyed = pd.DataFrame({"ID": ["0", "1", "2"], "Name": [None, None, "Wang"]})
+
+        def cand(name, pdf, mapping):
+            return disc.Candidate(
+                name=name, df=to_spark(spark, pdf), mapping=mapping,
+                col_overlaps={c: 1.0 for c in mapping}, pdf=pdf,
+            )
+
+        c = cand("C", keyless, {"Name": "c0", "Gender": "c1"})
+        a = cand("A", keyed, {"ID": "c0", "Name": "c1"})
+        edges = {("C", "A"): ("Name", "Name", 1.0), ("A", "C"): ("Name", "Name", 1.0)}
+        path = exp._materialise_path(c, ["C", "A"], {"C": c, "A": a}, edges, KEY)
+        assert path is not None and path.pdf is not None
+        via_cache = mtx.key_slice(spark, path, source, KEY)
+        via_spark = mtx.key_slice(spark, path.df, source, KEY)
+        assert via_cache.values.tolist() == [["2", "Wang", "Female"]]
+        assert sorted(via_cache.values.tolist()) == sorted(via_spark.values.tolist())

@@ -31,7 +31,7 @@ class TestLabelSourceNulls:
 class TestApplyRemoveLabels:
     def test_roundtrip(self, fig3_source, fig3_tables):
         lab = integ.label_source_nulls(fig3_source, KEY)
-        labels = integ._labels_by_key(fig3_source, lab, KEY)
+        labels = integ._null_labels(fig3_source, lab, KEY)
         # give A a Gender column with a null where S is null (Smith)
         a = fig3_tables["A"].assign(Gender=None)
         labeled = integ._apply_labels(a, labels, KEY)
@@ -41,14 +41,14 @@ class TestApplyRemoveLabels:
         brown = labeled[labeled["ID"] == "1"].iloc[0]
         assert brown["Gender"] is None
         # and removal restores nulls
-        restored = integ._revert_labels(labeled, labels)
+        restored = integ._revert_labels(labeled, labels, KEY)
         assert restored[restored["ID"] == "0"].iloc[0]["Gender"] is None
 
     def test_only_produced_labels_revert(self):
         src = pd.DataFrame({"ID": ["0", "1"], "a": [None, "##NULL##x"]})
         lab = integ.label_source_nulls(src, KEY)
-        labels = integ._labels_by_key(src, lab, KEY)
-        restored = integ._revert_labels(lab, labels)
+        labels = integ._null_labels(src, lab, KEY)
+        restored = integ._revert_labels(lab, labels, KEY)
         assert restored["a"].tolist() == [None, "##NULL##x"]
 
 

@@ -236,7 +236,7 @@ class TestKeyedPairwise:
         pdf = pd.DataFrame(
             {"k": ["1", "1", "2"], "a": ["x", None, None], "b": ["y", "y", "q"]}
         )
-        out = ops.per_key_group(pdf, ["k"], ops.subsume_pdf)
+        out = ops.per_key_group(pdf, ["k"], ops.subsume_rows)
         assert set(out[["k", "a", "b"]].itertuples(index=False, name=None)) == {
             ("1", "x", "y"), ("2", None, "q")
         }
@@ -245,7 +245,7 @@ class TestKeyedPairwise:
         pdf = pd.DataFrame(
             {"k": ["1", "1", "2"], "a": ["x", None, "w"], "b": [None, "y", None]}
         )
-        out = ops.per_key_group(pdf, ["k"], ops.complement_pdf)
+        out = ops.per_key_group(pdf, ["k"], ops.complement_rows)
         assert set(out[["k", "a", "b"]].itertuples(index=False, name=None)) == {
             ("1", "x", "y"), ("2", "w", None)
         }
@@ -254,7 +254,7 @@ class TestKeyedPairwise:
         pdf = pd.DataFrame(
             {"k": ["1", "1", "1"], "a": ["x", "x", None], "b": [None, None, "y"]}
         )
-        out = ops.per_key_group(pdf, ["k"], ops.minimal_form_pdf)
+        out = ops.per_key_group(pdf, ["k"], ops.minimal_form_rows)
         assert set(out[["k", "a", "b"]].itertuples(index=False, name=None)) == {
             ("1", "x", "y")
         }
@@ -269,7 +269,7 @@ class TestKeyedPairwise:
             }
         )
         # different composite keys → no complementation across groups
-        out = ops.per_key_group(pdf, ["k1", "k2"], ops.complement_pdf)
+        out = ops.per_key_group(pdf, ["k1", "k2"], ops.complement_rows)
         assert len(out) == 2
 
     def test_groups_keep_first_appearance_order(self):
@@ -279,15 +279,23 @@ class TestKeyedPairwise:
         out = ops.per_key_group(pdf, ["k"], lambda g: g)
         assert out.values.tolist() == [["2", "p"], ["2", "q"], ["1", "x"]]
 
+    def test_one_row_group_skips_kernel(self):
+        seen = []
+        pdf = pd.DataFrame({"k": ["1", "2", "2"], "a": ["x", "p", "q"]})
+        out = ops.per_key_group(pdf, ["k"], lambda g: seen.append(g) or g)
+        assert seen == [[("2", "p"), ("2", "q")]]
+        assert out.values.tolist() == pdf.values.tolist()
+
     def test_empty(self):
         pdf = pd.DataFrame({"k": [], "a": []}, dtype=object)
-        out = ops.per_key_group(pdf, ["k"], ops.minimal_form_pdf)
+        out = ops.per_key_group(pdf, ["k"], ops.minimal_form_rows)
         assert list(out.columns) == ["k", "a"] and len(out) == 0
 
 
 class TestSparkPairwise:
     """``_apply_per_group``, the Spark per-group wrapper ALITE blocks κ/β
-    through, runs the same kernels as ``per_key_group``."""
+    through, runs the same kernels (their ``*_pdf`` wrappers) as
+    ``per_key_group``."""
 
     def test_subsumption_grouped_by_key(self, spark):
         pdf = pd.DataFrame(
@@ -366,14 +374,14 @@ def _union(*pdfs):
 
 
 def _beta(pdf, key):
-    return ops.per_key_group(pdf, [key], ops.subsume_pdf)
+    return ops.per_key_group(pdf, [key], ops.subsume_rows)
 
 
 class TestTheorem8:
     def _fd_combine(self, t1, t2, key):
         # β(κ(T1 ⊎ T2)) — combine on shared key values
         u = _union(t1, t2)
-        return _beta(ops.per_key_group(u, [key], ops.complement_pdf), key)
+        return _beta(ops.per_key_group(u, [key], ops.complement_rows), key)
 
     def _inner(self, t1, t2):
         fd = self._fd_combine(t1, t2, "k")
