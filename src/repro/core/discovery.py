@@ -3,9 +3,11 @@
 The heavy lifting is one distributed dataflow: the repository's
 ``(table, col, value)`` cells dataset is joined against the source table's
 ``(src_col, value)`` pairs, and per-``(table, col, src_col)`` containment
-scores come out of a single groupBy. Everything after that — diversifying,
-ranking, per-candidate verification, subsumption removal, renaming — works
-on the small surviving candidate set, driver-side.
+scores come out of a single groupBy. It is the only Spark query discovery
+runs: column extents come from the manifest, and lake reads carry the
+manifest's schema. Everything after that — diversifying, ranking,
+per-candidate verification, subsumption removal, renaming — works on the
+small surviving candidate set, driver-side.
 
 Two refinements beyond raw set containment (both deterministic, both in
 the spirit of Alg 3's "verify overlap within aligned tuples" step; see
@@ -36,7 +38,6 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.operators import as_strings
 from repro.lake.repository import TableRepository, canon_str, to_spark
 
 UNMAPPED_SEP = "__u__"  # unmapped columns keep "{table}__u__{col}" names
@@ -65,7 +66,11 @@ class Candidate:
 
 def source_value_df(spark: SparkSession, source: pd.DataFrame) -> DataFrame:
     """Source table melted to distinct (src_col, value) pairs."""
-    src = canon_str(source)
+    return _source_values(spark, canon_str(source))
+
+
+def _source_values(spark: SparkSession, src: pd.DataFrame) -> DataFrame:
+    """``source_value_df`` of an already canonical source."""
     frames = []
     for c in src.columns:
         vals = src[c].dropna().unique()
@@ -96,41 +101,37 @@ def coarse_retrieve(
 def _column_containments(
     spark: SparkSession,
     repo: TableRepository,
-    source: pd.DataFrame,
+    src: pd.DataFrame,
     restrict_to: list[str] | None,
 ) -> pd.DataFrame:
-    """(table, col, src_col, overlap, matched value set) via one Spark job."""
-    cells = repo.cells(spark)
-    if restrict_to is not None:
-        keep = to_spark(spark, pd.DataFrame({"table": sorted(restrict_to)}))
-        cells = cells.join(keep, on="table", how="leftsemi")
-    src = source_value_df(spark, source)
-    src_canon = canon_str(source)
-    src_sizes = {c: max(1, int(src_canon[c].dropna().nunique())) for c in source.columns}
+    """(table, col, src_col, overlap, matched value set) via one Spark query.
+
+    ``src`` is the canonical source. Cells are distinct per (table, col,
+    value) and source values per (src_col, value), so each joined row is
+    one distinct shared value: a plain count and list suffice, with no
+    distinct aggregation.
+    """
+    src_sizes = {c: max(1, int(src[c].dropna().nunique())) for c in src.columns}
     joined = (
-        cells.join(src, on="value")
+        repo.cells(spark)
+        .join(_source_values(spark, src), on="value")
         .groupBy("table", "col", "src_col")
         .agg(
-            F.countDistinct("value").alias("n_shared"),
-            F.collect_set("value").alias("vals"),
+            F.count("value").alias("n_shared"),
+            F.collect_list("value").alias("vals"),
         )
     )
     pdf = joined.toPandas()
+    if restrict_to is not None:
+        # the aggregate is per table, so restricting its output is exact; in
+        # Spark, a semi-join adds two shuffle jobs and an IN list of ~1.5K
+        # literals costs more driver time than the whole query
+        pdf = pdf[pdf["table"].isin(list(restrict_to))].reset_index(drop=True)
     if len(pdf):
         # full column extents, for the Jaccard-style specificity signal:
         # a dense id column "contains" every small-int source column, but
         # its huge extent gives it a near-zero Jaccard
-        hit_cols = to_spark(
-            spark, pdf[["table", "col"]].drop_duplicates().astype(str)
-        )
-        extents = (
-            cells.join(hit_cols, on=["table", "col"], how="leftsemi")
-            .groupBy("table", "col")
-            .agg(F.countDistinct("value").alias("extent"))
-            .toPandas()
-        )
-        pdf = pdf.merge(extents, on=["table", "col"], how="left")
-        pdf["extent"] = pdf["extent"].fillna(1).astype(int)
+        pdf["extent"] = [repo.extent(t, c) for t, c in zip(pdf["table"], pdf["col"])]
         size = pdf["src_col"].map(src_sizes)
         pdf["overlap"] = pdf["n_shared"] / size
         pdf["jac"] = pdf["n_shared"] / (size + pdf["extent"] - pdf["n_shared"]).clip(lower=1)
@@ -172,10 +173,12 @@ _SRC_SUFFIX = "\x00src"
 def _refine_mapping(
     tbl: pd.DataFrame,
     options: dict[str, list[tuple[str, float, frozenset, float]]],
-    source: pd.DataFrame,
+    src: pd.DataFrame,
     key_cols: list[str],
 ) -> dict[str, str] | None:
     """Pick the best column mapping for one candidate (see module doc).
+
+    ``src`` is the canonical source (``canon_str``).
 
     ``options[src_col]`` lists (lake_col, containment, matched_vals,
     jaccard) by containment desc. Key mappings are scored by aligning the
@@ -188,7 +191,6 @@ def _refine_mapping(
     column that "contains" every small-int source column).
     Returns {src_col: lake_col} or None to discard the candidate.
     """
-    src = canon_str(source)
     nk_src = [s for s in options if s not in key_cols]
 
     def jac_mapping(exclude: set[str] = frozenset()) -> dict[str, str]:
@@ -298,7 +300,8 @@ def set_similarity(
     restrict_to: list[str] | None = None,
 ) -> list[Candidate]:
     """Alg 3: retrieve, diversify, verify, de-subsume and rename candidates."""
-    stats = _column_containments(spark, repo, source, restrict_to)
+    src = canon_str(source)
+    stats = _column_containments(spark, repo, src, restrict_to)
     stats = stats[stats["overlap"] >= tau]
     if not len(stats):
         return []
@@ -327,7 +330,7 @@ def set_similarity(
     cands: list[Candidate] = []
     for name in order:
         tbl = repo.load_pdf(name)
-        mapping = _refine_mapping(tbl, options[name], source, list(key_cols))
+        mapping = _refine_mapping(tbl, options[name], src, list(key_cols))
         if not mapping:
             continue
         opt = options[name]
@@ -343,7 +346,7 @@ def set_similarity(
         cands.append(
             Candidate(
                 name=name,
-                df=_rename(repo.load(spark, name), name, mapping),
+                df=None,  # set below for the candidates that survive
                 mapping=mapping,
                 col_overlaps=overlaps,
                 matched_values=matched,
@@ -352,22 +355,25 @@ def set_similarity(
             )
         )
 
-    return _remove_subsumed(cands)
+    kept = _remove_subsumed(cands)
+    for c in kept:
+        c.df = _rename(repo.load(spark, c.name), c.name, c.mapping)
+    return kept
+
+
+def _renamed(columns: list[str], name: str, mapping: dict[str, str]) -> list[str]:
+    """Mapped columns take source names; unmapped ones are prefixed."""
+    inv = {c: s for s, c in mapping.items()}
+    return [inv.get(c, f"{name}{UNMAPPED_SEP}{c}") for c in columns]
 
 
 def _rename(df: DataFrame, name: str, mapping: dict[str, str]) -> DataFrame:
-    """Rename mapped columns to source names; prefix unmapped ones."""
-    inv = {c: s for s, c in mapping.items()}
-    cols = [
-        F.col(c).alias(inv.get(c, f"{name}{UNMAPPED_SEP}{c}")) for c in df.columns
-    ]
-    return as_strings(df.select(cols))
+    return df.toDF(*_renamed(df.columns, name, mapping))
 
 
 def _rename_pdf(pdf: pd.DataFrame, name: str, mapping: dict[str, str]) -> pd.DataFrame:
-    inv = {c: s for s, c in mapping.items()}
     out = pdf.copy()
-    out.columns = [inv.get(c, f"{name}{UNMAPPED_SEP}{c}") for c in pdf.columns]
+    out.columns = _renamed(list(pdf.columns), name, mapping)
     return out
 
 
@@ -392,14 +398,21 @@ def _remove_subsumed(cands: list[Candidate]) -> list[Candidate]:
     happen to share extents. Falls back to matched-value containment when a
     candidate is too large for the pandas cache.
     """
+    row_sets: dict[tuple[int, tuple[str, ...]], frozenset | None] = {}
+
+    def rows_of(k: int, cols: tuple[str, ...]) -> frozenset | None:
+        if (k, cols) not in row_sets:
+            row_sets[k, cols] = _row_set(cands[k], list(cols))
+        return row_sets[k, cols]
+
     keep: list[Candidate] = []
     for i, a in enumerate(cands):
         subsumed = False
-        a_cols = sorted(a.mapping)
+        a_cols = tuple(sorted(a.mapping))
         for j, b in enumerate(cands):
             if i == j or not (set(a.mapping) <= set(b.mapping)):
                 continue
-            ra, rb = _row_set(a, a_cols), _row_set(b, a_cols)
+            ra, rb = rows_of(i, a_cols), rows_of(j, a_cols)
             if ra is not None and rb is not None:
                 contained = ra <= rb
                 strictly = ra < rb

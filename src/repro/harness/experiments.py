@@ -1,7 +1,8 @@
 """Benchmark construction + the four evaluation tables (paper §VI).
 
 Lakes are cached as repositories under ``data/`` keyed by their build
-parameters; sources are regenerated deterministically from the same seed.
+parameters and rebuilt when incomplete or stale (see ``_cached``); sources
+are regenerated deterministically from the same seed.
 
 Scale map (DESIGN.md §6): TP-TR Small/Med/Large at SF 0.001/0.01/0.1,
 SANTOS Large → 400 synthetic open-data distractors around TP-TR Med,
@@ -18,7 +19,7 @@ from pyspark.sql import SparkSession
 
 from repro.bench import noise, tptr, webtables
 from repro.harness import runner
-from repro.lake.repository import TableRepository
+from repro.lake.repository import StaleLakeError, TableRepository
 
 DATA_ROOT = Path(__file__).resolve().parents[3] / "data"
 
@@ -36,8 +37,22 @@ WEB_SCALES: dict[str, dict] = {
 
 
 def _cached(root: Path, params: dict) -> bool:
+    """Whether ``root`` holds a complete lake built with ``params``.
+
+    Besides the parameters, every manifest table's Parquet file, a
+    non-empty cells dataset and the manifest's column extents must be
+    there; anything less is rebuilt.
+    """
     marker = root / "params.json"
-    return marker.exists() and json.loads(marker.read_text()) == params
+    if not (marker.exists() and json.loads(marker.read_text()) == params):
+        return False
+    try:
+        repo = TableRepository(root)
+    except (FileNotFoundError, StaleLakeError):
+        return False
+    return all(Path(repo.table_path(n)).exists() for n in repo.names()) and any(
+        repo.cells_path().glob("*.parquet")
+    )
 
 
 def _mark(root: Path, params: dict) -> None:

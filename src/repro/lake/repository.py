@@ -3,7 +3,8 @@
 A repository is a directory:
 
     root/
-      manifest.json            # {name: {"columns": [...], "rows": n, "meta": {...}}}
+      manifest.json            # {name: {"columns": [...], "rows": n,
+                               #         "extents": {col: n_distinct}, "meta": {...}}}
       tables/<name>.parquet    # one all-string Parquet file per table
       cells/part-*.parquet     # consolidated (table, col, value) distinct cells
 
@@ -12,7 +13,12 @@ semantics; Gen-T matches values syntactically — see DESIGN.md §4.1), so
 outer union / subsumption / complementation and the DuckDB oracle all see
 one uniform type. The *cells* dataset is appended at build time so that
 candidate discovery over a 15K-table lake is a single distributed
-Spark scan + join instead of 15K file opens (DESIGN.md §2.1).
+Spark scan + join instead of 15K file opens (DESIGN.md §2.1). Each column's
+*extent* — its number of distinct non-null values, i.e. its rows in the
+cells dataset — is written into the manifest at the same time, so
+discovery's Jaccard signal needs no second Spark query. Every schema is
+known from the manifest, so reads pass it to Spark and start no
+schema-inference job.
 """
 from __future__ import annotations
 
@@ -25,8 +31,19 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.types import StringType, StructField, StructType
 
 _CELLS_FLUSH_EVERY = 200  # tables per cells parquet part file
+_CELLS_COLUMNS = ["table", "col", "value"]
+
+
+class StaleLakeError(ValueError):
+    """The repository on disk was written by an older builder."""
+
+
+def _string_schema(columns: list[str]) -> StructType:
+    """All-nullable-string Spark schema with the given column order."""
+    return StructType([StructField(c, StringType(), True) for c in columns])
 
 
 def canon_str(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -67,11 +84,8 @@ def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     break Spark's type inference. The frame goes over as Arrow batches when
     the session enables Arrow, not as pickled Python rows.
     """
-    from pyspark.sql.types import StringType, StructField, StructType
-
     spdf = canon_str(pdf)
-    schema = StructType([StructField(c, StringType(), True) for c in spdf.columns])
-    return spark.createDataFrame(spdf, schema=schema)
+    return spark.createDataFrame(spdf, schema=_string_schema(list(spdf.columns)))
 
 
 def _to_arrow(pdf: pd.DataFrame) -> pa.Table:
@@ -100,15 +114,13 @@ class RepositoryBuilder:
         spdf = canon_str(pdf)
         tbl = _to_arrow(spdf)
         pq.write_table(tbl, self.root / "tables" / f"{name}.parquet")
-        self._manifest[name] = {
-            "columns": list(spdf.columns),
-            "rows": int(len(spdf)),
-            "meta": meta or {},
-        }
-        # distinct non-null cells for the discovery dataset
+        # distinct non-null cells for the discovery dataset; their count
+        # per column is the column's extent
+        extents: dict[str, int] = {}
         frames = []
         for c in spdf.columns:
             vals = spdf[c].dropna().unique()
+            extents[c] = int(len(vals))
             if len(vals):
                 frames.append(
                     pa.Table.from_pydict(
@@ -119,6 +131,12 @@ class RepositoryBuilder:
                         }
                     )
                 )
+        self._manifest[name] = {
+            "columns": list(spdf.columns),
+            "rows": int(len(spdf)),
+            "extents": extents,
+            "meta": meta or {},
+        }
         if frames:
             self._pending_cells.append(pa.concat_tables(frames))
         if len(self._pending_cells) >= _CELLS_FLUSH_EVERY:
@@ -141,13 +159,24 @@ class RepositoryBuilder:
 
 
 class TableRepository:
-    """Read-side of a repository."""
+    """Read-side of a repository.
+
+    Raises :class:`StaleLakeError` when the manifest lacks column extents
+    (written by a builder older than discovery's reliance on them).
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.manifest: dict[str, dict] = json.loads(
             (self.root / "manifest.json").read_text()
         )
+        stale = sorted(n for n, m in self.manifest.items() if "extents" not in m)
+        if stale:
+            raise StaleLakeError(
+                f"{self.root}: manifest entries without 'extents' "
+                f"({len(stale)} tables, e.g. {stale[0]!r}); rebuild this lake "
+                "with RepositoryBuilder"
+            )
 
     def names(self) -> list[str]:
         return sorted(self.manifest)
@@ -161,19 +190,31 @@ class TableRepository:
     def meta(self, name: str) -> dict:
         return dict(self.manifest[name]["meta"])
 
+    def extent(self, name: str, col: str) -> int:
+        """Distinct non-null values in one column (its rows in the cells)."""
+        return int(self.manifest[name]["extents"][col])
+
     def table_path(self, name: str) -> str:
         return str(self.root / "tables" / f"{name}.parquet")
 
+    def cells_path(self) -> Path:
+        return self.root / "cells"
+
     def load(self, spark: SparkSession, name: str) -> DataFrame:
-        """Load one table as an all-string Spark DataFrame."""
-        return spark.read.parquet(self.table_path(name))
+        """Load one table as an all-string Spark DataFrame (no Spark job:
+        the schema comes from the manifest)."""
+        return spark.read.schema(_string_schema(self.columns(name))).parquet(
+            self.table_path(name)
+        )
 
     def load_pdf(self, name: str) -> pd.DataFrame:
         return pq.read_table(self.table_path(name)).to_pandas()
 
     def cells(self, spark: SparkSession) -> DataFrame:
         """The consolidated (table, col, value) distinct-cells dataset."""
-        return spark.read.parquet(str(self.root / "cells"))
+        return spark.read.schema(_string_schema(_CELLS_COLUMNS)).parquet(
+            str(self.cells_path())
+        )
 
     def stats(self) -> dict:
         """Table-I style statistics: # tables, # cols, avg rows, size (MB)."""

@@ -5,6 +5,10 @@ A, B, C, D and the two integration results Ŝ1 (full disjunction) and
 Ŝ2 (an outer-join order) — is reused across metric, matrix, discovery and
 end-to-end tests, because the paper states exact expected numbers for it.
 """
+import json
+import shutil
+import uuid
+
 import pandas as pd
 import pytest
 
@@ -96,3 +100,29 @@ def fig3_s2hat() -> pd.DataFrame:
             ],
         }
     )
+
+
+def stale_layout(root, params: dict):
+    """Strip a built lake down to what ``data/tptr_small`` holds in git: a
+    manifest without extents and ``params.json``, no tables, no cells."""
+    manifest = json.loads((root / "manifest.json").read_text())
+    for entry in manifest.values():
+        del entry["extents"]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    (root / "params.json").write_text(json.dumps(params))
+    shutil.rmtree(root / "tables")
+    shutil.rmtree(root / "cells")
+    return root
+
+
+def jobs_started(spark, fn):
+    """Run ``fn`` under a fresh Spark job group; return (result, job ids)."""
+    sc = spark.sparkContext
+    group = f"jobs-started-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, "jobs_started")
+    try:
+        out = fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)  # job events are async
+    return out, list(sc.statusTracker().getJobIdsForGroup(group))

@@ -3,9 +3,12 @@ import pandas as pd
 import pytest
 
 from repro.core import discovery as disc
+from repro.lake.repository import RepositoryBuilder, canon_str
+from tests.conftest import jobs_started
 
 KEY = ["ID"]
 TAU = 0.3
+MAX_DISCOVERY_JOBS = 4
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +102,56 @@ class TestSourceValueDf:
         assert ("Name", "Smith") in set(map(tuple, df.values))
         # nulls are not emitted
         assert not df["value"].isna().any()
+
+
+class TestSparkJobs:
+    # discovery's only Spark work is the containment query: one job per
+    # shuffle-map stage (cells side, source side, aggregate) and one for the
+    # collect. Lake reads and renames start no job.
+    @pytest.mark.parametrize("restrict_to", [None, ["A", "B", "C", "D", "E"]])
+    def test_only_the_containment_query(self, spark, fig3_repo, fig3_source, restrict_to):
+        cands, jobs = jobs_started(
+            spark,
+            lambda: disc.set_similarity(
+                spark, fig3_repo, fig3_source, KEY, tau=TAU, restrict_to=restrict_to
+            ),
+        )
+        assert "A" in {c.name for c in cands}
+        assert len(jobs) <= MAX_DISCOVERY_JOBS
+
+
+class TestColumnContainments:
+    @pytest.mark.parametrize("restrict_to", [None, ["t"]])
+    def test_equal_to_pandas_recount(self, spark, tmp_path, restrict_to):
+        lake = {
+            # "2" and "a" repeat within a column
+            "t": pd.DataFrame(
+                {"c0": ["1", "2", "2", "3", None], "c1": ["a", "b", "a", "a", "2"]}
+            ),
+            "u": pd.DataFrame({"c0": ["z", "a", "b"]}),
+        }
+        # "2" and "a" each appear in both source columns
+        source = pd.DataFrame({"x": ["1", "2", "a", "9"], "y": ["2", "a", "a", None]})
+        b = RepositoryBuilder(tmp_path / "lake")
+        for name, pdf in lake.items():
+            b.add(name, pdf)
+        repo = b.finish()
+
+        got = disc._column_containments(spark, repo, canon_str(source), restrict_to)
+        want = set()
+        for t, pdf in lake.items():
+            if restrict_to is not None and t not in restrict_to:
+                continue
+            for c in pdf.columns:
+                lv = set(pdf[c].dropna())
+                for s in source.columns:
+                    sv = set(source[s].dropna())
+                    n = len(lv & sv)
+                    if n:
+                        jac = n / (len(sv) + len(lv) - n)
+                        want.add((t, c, s, n, n / len(sv), jac, frozenset(lv & sv)))
+        assert set(
+            zip(got["table"], got["col"], got["src_col"], got["n_shared"],
+                got["overlap"], got["jac"], got["vals"])
+        ) == want
+        assert len(got) == len(want)

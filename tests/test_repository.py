@@ -5,10 +5,12 @@ import pytest
 
 from repro.lake.repository import (
     RepositoryBuilder,
+    StaleLakeError,
     TableRepository,
     canon_str,
     to_spark,
 )
+from tests.conftest import jobs_started, stale_layout
 
 
 class TestCanonStr:
@@ -100,6 +102,44 @@ class TestRepository:
     def test_reopen(self, repo):
         re = TableRepository(repo.root)
         assert re.names() == repo.names()
+
+    def test_load_and_cells_start_no_spark_job(self, spark, repo):
+        # the schema comes from the manifest, so no Parquet footer is read
+        # by a schema-inference job
+        (df, cells), jobs = jobs_started(
+            spark, lambda: (repo.load(spark, "t1"), repo.cells(spark))
+        )
+        assert jobs == []
+        assert df.columns == ["k", "v"]
+        assert cells.columns == ["table", "col", "value"]
+
+
+class TestExtents:
+    def test_distinct_nonnull_counts(self, spark, tmp_path):
+        pdf = pd.DataFrame(
+            {
+                "k": [1, 2, 3, 4],
+                "rep": ["x", "x", "y", None],  # a repeated value
+                "none": [None, None, None, None],  # an all-null column
+            }
+        )
+        b = RepositoryBuilder(tmp_path / "lake")
+        b.add("t", pdf)
+        repo = b.finish()
+        assert repo.manifest["t"]["extents"] == {"k": 4, "rep": 2, "none": 0}
+        canon = canon_str(pdf)
+        assert all(repo.extent("t", c) == canon[c].dropna().nunique() for c in pdf)
+        # and equal to the column's rows in the cells dataset
+        per_col = repo.cells(spark).groupBy("col").count().toPandas()
+        assert dict(zip(per_col["col"], per_col["count"])) == {"k": 4, "rep": 2}
+
+    def test_manifest_without_extents_fails_loudly(self, tmp_path):
+        b = RepositoryBuilder(tmp_path / "lake")
+        b.add("t", pd.DataFrame({"a": [1]}))
+        b.finish()
+        root = stale_layout(tmp_path / "lake", {"seed": 0})
+        with pytest.raises(StaleLakeError, match="rebuild this lake"):
+            TableRepository(root)
 
 
 class TestToSpark:
