@@ -25,13 +25,16 @@ from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.metrics import aligned_slice
-from repro.core.operators import project_select_pdf
-from repro.lake.repository import canon_str
+from repro.core.operators import as_strings, project_select_pdf
+from repro.lake.repository import canon_str, to_spark
 
 Matrix = dict[tuple, list[np.ndarray]]
+
+# Spark-cut slices larger than this are truncated before collect — a safety
+# valve for candidates whose key fan-out explodes.
+MAX_SLICE_ROWS = 500_000
 
 
 def encode_matrix(
@@ -80,6 +83,15 @@ def encode_matrix(
             if not any(np.array_equal(row, r) for r in lst):
                 lst.append(row)
     return matrix
+
+
+def aligned_slice(
+    spark: SparkSession, cand_df: DataFrame, source: pd.DataFrame, key_cols: Sequence[str]
+) -> pd.DataFrame:
+    """Rows of ``cand_df`` whose key appears in the source, as pandas."""
+    keys = to_spark(spark, source[list(key_cols)].drop_duplicates())
+    sl = as_strings(cand_df).join(keys, on=list(key_cols), how="leftsemi")
+    return sl.limit(MAX_SLICE_ROWS).toPandas()
 
 
 def key_slice(

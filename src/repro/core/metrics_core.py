@@ -108,15 +108,20 @@ def instance_divergence(
     return 1.0 - instance_similarity(source, reclaimed, key_cols)
 
 
-def recall_precision(source: pd.DataFrame, reclaimed: pd.DataFrame) -> tuple[float, float]:
-    """Rec = |S∩Ŝ|/|S|, Pre = |S∩Ŝ|/|Ŝ| over distinct tuples, null-safe."""
+def distinct_overlap(source: pd.DataFrame, reclaimed: pd.DataFrame) -> tuple[int, int, int]:
+    """(|S|, |Ŝ|, |S∩Ŝ|) over distinct tuples of S's schema, null-safe."""
     cols = list(source.columns)
     s_set = set(_norm_rows(source, cols))
     reclaimed = reclaimed.reindex(columns=cols)
     r_set = set(_norm_rows(reclaimed, cols)) if len(reclaimed) else set()
-    inter = len(s_set & r_set)
-    rec = inter / len(s_set) if s_set else 0.0
-    pre = inter / len(r_set) if r_set else 0.0
+    return len(s_set), len(r_set), len(s_set & r_set)
+
+
+def recall_precision(source: pd.DataFrame, reclaimed: pd.DataFrame) -> tuple[float, float]:
+    """Rec = |S∩Ŝ|/|S|, Pre = |S∩Ŝ|/|Ŝ| over distinct tuples, null-safe."""
+    n_s, n_r, inter = distinct_overlap(source, reclaimed)
+    rec = inter / n_s if n_s else 0.0
+    pre = inter / n_r if n_r else 0.0
     return rec, pre
 
 

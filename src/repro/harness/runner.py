@@ -50,6 +50,10 @@ class CellResult:
     source_cells: int = 0
     timeout: bool = False
     empty: bool = False
+    # more distinct key-aligned tuples than metrics.MAX_ALIGNED_COLLECT
+    capped: bool = False
+    # "Type: message" of the exception the method raised (scored as empty)
+    error: str | None = None
     originating: list[str] = field(default_factory=list)
 
 
@@ -63,6 +67,7 @@ def _finish(
     elapsed: float,
     budget_s: float | None,
     originating: list[str] | None = None,
+    error: str | None = None,
 ) -> CellResult:
     timeout = budget_s is not None and elapsed >= budget_s * 0.98
     cell = CellResult(
@@ -71,6 +76,7 @@ def _finish(
         runtime_s=elapsed,
         timeout=timeout,
         source_cells=int(source.size),
+        error=error,
         originating=originating or [],
     )
     if reclaimed is None or timeout:
@@ -79,7 +85,8 @@ def _finish(
         m = met.evaluate(spark, None, source, key_cols)
     else:
         m = met.evaluate(spark, reclaimed, source, key_cols)
-        cell.output_cells = int(reclaimed.count() * len(reclaimed.columns))
+        cell.output_cells = m["rows"] * len(reclaimed.columns)
+    cell.capped = m["capped"]
     cell.recall, cell.precision = m["recall"], m["precision"]
     cell.inst_div, cell.d_kl = m["inst_div"], m["d_kl"]
     cell.eis, cell.perfect = m["eis"], m["perfect"]
@@ -136,6 +143,7 @@ def run_source(
 
         t0 = time.perf_counter()
         originating: list[str] = []
+        error = None
         try:
             if method == "gen_t":
                 res = reclaim_from_candidates(spark, repo, use, source, key_cols)
@@ -160,14 +168,15 @@ def run_source(
                 )
             else:
                 raise ValueError(f"unknown method {method!r}")
-        except Exception as e:  # a baseline crashing scores as empty
-            print(f"[runner] {method} failed on {src_name}: {e}")
+        except Exception as e:  # a crashing method scores as empty, with its error kept
+            error = f"{type(e).__name__}: {e}"
+            print(f"[runner] {method} failed on {src_name}: {error}")
             reclaimed = None
         elapsed = time.perf_counter() - t0
         results.append(
             _finish(
                 spark, method, src_name, reclaimed, source, key_cols,
-                elapsed, budget_s, originating,
+                elapsed, budget_s, originating, error,
             )
         )
     return results
@@ -189,6 +198,7 @@ def aggregate(cells: list[CellResult]) -> pd.DataFrame:
                 "method": method,
                 "sources": len(grp),
                 "timeouts": int(grp["timeout"].sum()),
+                "errors": int(grp["error"].notna().sum()),
                 "recall": ok["recall"].mean() if len(ok) else float("nan"),
                 "precision": ok["precision"].mean() if len(ok) else float("nan"),
                 "inst_div": ok["inst_div"].mean() if len(ok) else float("nan"),

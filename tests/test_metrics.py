@@ -3,8 +3,13 @@ import math
 
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
+from repro.core import metrics as met
 from repro.core import metrics_core as mc
+from repro.core.operators import as_strings
+from repro.lake.repository import canon_str, to_spark
+from tests.conftest import jobs_started
 
 KEY = ["ID"]
 
@@ -190,3 +195,127 @@ class TestEisEdgeCases:
         t = pd.DataFrame({"k": ["0", "0"], "a": ["1", "ERR"], "b": [None, "ERR"]})
         # best row: α=1, δ=0 → 0.5·(1+0.5) = 0.75
         assert mc.eis(s, t, ["k"]) == pytest.approx(0.75)
+
+
+def _reference(spark, df, source, key_cols) -> dict:
+    """``metrics_core`` on the whole reclaimed table, collected."""
+    cols = list(source.columns)
+    full = as_strings(df).toPandas()
+    rec, pre = mc.recall_precision(canon_str(source), full)
+    src_keys = set(canon_str(source)[key_cols].dropna().itertuples(index=False, name=None))
+    on_key = full.reindex(columns=cols)[key_cols].itertuples(index=False, name=None)
+    aligned = full[[k in src_keys for k in on_key]]
+    return {
+        "recall": rec,
+        "precision": pre,
+        "inst_div": mc.instance_divergence(source, aligned, key_cols),
+        "d_kl": mc.conditional_kl(source, aligned, key_cols),
+        "eis": mc.eis(source, aligned, key_cols),
+        "perfect": rec == 1.0 and pre == 1.0,
+        "rows": len(full),
+        "capped": False,
+    }
+
+
+class TestEvaluate:
+    """``metrics.evaluate`` (one Spark query) against ``metrics_core`` on the
+    fully collected reclaimed table."""
+
+    @staticmethod
+    def _cases(spark, fig3_source, fig3_s1hat, fig3_s2hat):
+        dups = pd.concat(
+            [fig3_s2hat, fig3_s2hat.iloc[[1, 1, 4, 7]], fig3_s1hat], ignore_index=True
+        )
+        null_src = pd.DataFrame(
+            {"k1": ["0", "0", None], "k2": ["a", None, "c"], "v": ["x", "y", "z"]}
+        )
+        null_rec = pd.DataFrame(
+            {
+                "k1": ["0", "0", None, None, "0", None],
+                "k2": ["a", None, "c", "c", "a", None],
+                "v": ["x", "y", "z", "WRONG", None, "y"],
+            }
+        )
+        typed = pd.DataFrame(
+            {
+                "id": [1, 2, 3],
+                "price": [1.5, 2.0, None],
+                "day": pd.to_datetime(["2024-01-02", "2024-02-03", "2024-03-04"]),
+            }
+        )
+        typed_rec = pd.concat([typed, typed.iloc[[0]]], ignore_index=True)
+        typed_rec.loc[1, "price"] = 2.5
+        typed_rec.loc[3, "day"] = pd.Timestamp("2024-01-03")
+        big = spark.range(50_000).select(
+            (F.col("id") % 25_000).cast("string").alias("ID"),
+            F.when(F.col("id") % 2 == 0, F.lit("Smith")).otherwise(F.lit("Brown")).alias("Name"),
+            F.lit("27").alias("Age"),
+            F.lit(None).cast("string").alias("Gender"),
+            F.lit("Bachelors").alias("Education Level"),
+        )
+        return {
+            "duplicates": (to_spark(spark, dups), fig3_source, KEY),
+            "null_key_part": (to_spark(spark, null_rec), null_src, ["k1", "k2"]),
+            "missing_column": (
+                to_spark(spark, fig3_s1hat.drop(columns=["Gender"])), fig3_source, KEY
+            ),
+            "extra_column": (
+                to_spark(spark, fig3_s2hat.assign(Extra="e")), fig3_source, KEY
+            ),
+            "typed": (spark.createDataFrame(typed_rec), typed, ["id"]),
+            "empty": (to_spark(spark, fig3_s1hat.iloc[0:0]), fig3_source, KEY),
+            "empty_source": (to_spark(spark, fig3_s1hat), fig3_source.iloc[0:0], KEY),
+            "big_mostly_unaligned": (big, fig3_source, KEY),
+        }
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "duplicates", "null_key_part", "missing_column", "extra_column",
+            "typed", "empty", "empty_source", "big_mostly_unaligned",
+        ],
+    )
+    def test_matches_full_collect(
+        self, spark, fig3_source, fig3_s1hat, fig3_s2hat, case
+    ):
+        df, source, key_cols = self._cases(spark, fig3_source, fig3_s1hat, fig3_s2hat)[case]
+        assert met.evaluate(spark, df, source, key_cols) == _reference(
+            spark, df, source, key_cols
+        )
+
+    def test_duplicates_reach_d_kl(self, spark, fig3_source, fig3_s2hat):
+        dups = pd.concat([fig3_s2hat, fig3_s2hat.iloc[[1, 1]]], ignore_index=True)
+        once = met.evaluate(spark, to_spark(spark, fig3_s2hat), fig3_source, KEY)
+        twice = met.evaluate(spark, to_spark(spark, dups), fig3_source, KEY)
+        assert twice["d_kl"] < once["d_kl"]
+        assert (twice["recall"], twice["precision"]) == (once["recall"], once["precision"])
+
+    def test_none(self, spark, fig3_source):
+        empty = fig3_source.iloc[0:0]
+        assert met.evaluate(spark, None, fig3_source, KEY) == {
+            "recall": 0.0,
+            "precision": 0.0,
+            "inst_div": mc.instance_divergence(fig3_source, empty, KEY),
+            "d_kl": mc.conditional_kl(fig3_source, empty, KEY),
+            "eis": mc.eis(fig3_source, empty, KEY),
+            "perfect": False,
+            "rows": 0,
+            "capped": False,
+        }
+
+    @pytest.mark.parametrize("cap, capped", [(2, True), (3, False)])
+    def test_cap_reported(self, spark, fig3_source, monkeypatch, cap, capped):
+        # three distinct tuples on source keys, one of them twice, and a stray key
+        rec = pd.concat([fig3_source, fig3_source.iloc[[0]]], ignore_index=True)
+        rec.loc[len(rec)] = ["9", "Zed", "99", None, "PhD"]
+        monkeypatch.setattr(met, "MAX_ALIGNED_COLLECT", cap)
+        out = met.evaluate(spark, to_spark(spark, rec), fig3_source, KEY)
+        assert out["capped"] is capped
+        assert out["rows"] == len(rec)
+
+    def test_spark_jobs(self, spark, fig3_source, fig3_s2hat):
+        df = to_spark(spark, fig3_s2hat)
+        _, jobs = jobs_started(spark, lambda: met.evaluate(spark, df, fig3_source, KEY))
+        assert len(jobs) <= 4
+        _, jobs = jobs_started(spark, lambda: met.evaluate(spark, None, fig3_source, KEY))
+        assert jobs == []

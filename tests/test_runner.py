@@ -34,6 +34,24 @@ class TestRunSource:
         g = next(c for c in cells if c.method == "gen_t")
         assert g.output_cells == g.source_cells  # perfect → same size
 
+    def test_no_error_or_cap(self, cells):
+        assert all(c.error is None and not c.capped for c in cells)
+
+    def test_raising_method_records_error(self, spark, fig3_repo, fig3_source, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(runner, "alite", boom)
+        out = runner.run_source(
+            spark, fig3_repo, "fig3", fig3_source, KEY, ["alite"], tau=0.3
+        )
+        (cell,) = out
+        assert cell.error == "RuntimeError: boom"
+        assert cell.empty and not cell.timeout
+        assert (cell.recall, cell.precision, cell.eis, cell.inst_div) == (0.0, 0.0, 0.0, 1.0)
+        assert cell.output_cells == 0
+        assert runner.aggregate(out).set_index("method").loc["alite", "errors"] == 1
+
     def test_int_methods_skipped_without_int_set(self, spark, fig3_repo, fig3_source):
         out = runner.run_source(
             spark, fig3_repo, "fig3", fig3_source, KEY, ["alite_int"], tau=0.3
@@ -45,6 +63,7 @@ class TestRunSource:
             spark, fig3_repo, "fig3", fig3_source, KEY, ["nonsense"], tau=0.3
         )
         assert len(out) == 1 and out[0].recall == 0.0
+        assert out[0].error == "ValueError: unknown method 'nonsense'"
 
     def test_exclude_self(self, spark, fig3_repo, fig3_source):
         # excluding every relevant table leaves nothing to reclaim from
@@ -60,6 +79,7 @@ class TestAggregate:
         agg = runner.aggregate(cells)
         assert set(agg["method"]) == {"gen_t", "alite_ps"}
         assert (agg["sources"] == 1).all()
+        assert (agg["errors"] == 0).all()
 
     def test_perfect_count(self, cells):
         agg = runner.aggregate(cells).set_index("method")
