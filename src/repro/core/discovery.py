@@ -1,13 +1,14 @@
 """Candidate table retrieval — Set Similarity (Alg 3) + Diversify (Alg 4).
 
-The heavy lifting is one distributed dataflow: the repository's
-``(table, col, value)`` cells dataset is joined against the source table's
-``(src_col, value)`` pairs, and per-``(table, col, src_col)`` containment
-scores come out of a single groupBy. It is the only Spark query discovery
-runs: column extents come from the manifest, and lake reads carry the
-manifest's schema. Everything after that — diversifying, ranking,
-per-candidate verification, subsumption removal, renaming — works on the
-small surviving candidate set, driver-side.
+The part that grows with the lake is one filtered scan: the repository's
+``(table, col, value)`` cells dataset, kept to the rows whose value is one
+of the source's distinct values, collected flat in one Spark job. It is
+the only Spark query discovery runs: column extents come from the
+manifest, and lake reads carry the manifest's schema. Everything after
+that is bounded by the source's values and runs on the driver: the hits
+are matched to their source columns and counted per
+``(table, col, src_col)``, then diversified, ranked, verified,
+de-subsumed and renamed.
 
 Two refinements beyond raw set containment (both deterministic, both in
 the spirit of Alg 3's "verify overlap within aligned tuples" step; see
@@ -34,11 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.lake.repository import TableRepository, canon_str, to_spark
+from repro.lake.repository import TableRepository, canon_str
 
 UNMAPPED_SEP = "__u__"  # unmapped columns keep "{table}__u__{col}" names
 KEY_OPTION_EPS = 0.05  # containment slack for tied key-column options
@@ -64,21 +66,21 @@ class Candidate:
             self.provenance = (self.name,)
 
 
-def source_value_df(spark: SparkSession, source: pd.DataFrame) -> DataFrame:
-    """Source table melted to distinct (src_col, value) pairs."""
-    return _source_values(spark, canon_str(source))
+def _value_filter(src: pd.DataFrame) -> str | None:
+    """SQL predicate keeping the cells whose value is in ``src``.
 
-
-def _source_values(spark: SparkSession, src: pd.DataFrame) -> DataFrame:
-    """``source_value_df`` of an already canonical source."""
-    frames = []
-    for c in src.columns:
-        vals = src[c].dropna().unique()
-        frames.append(pd.DataFrame({"src_col": c, "value": list(vals)}))
-    melted = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame(
-        columns=["src_col", "value"]
-    )
-    return to_spark(spark, melted)
+    ``src`` is the canonical source. Each distinct non-null value is written
+    as a hex literal of its UTF-8 bytes and the cell is compared as binary,
+    so no quote, backslash, newline or ``${...}`` in a value reaches the SQL
+    text, and the whole list is parsed by Spark in one call. None when the
+    source has no non-null value: ``IN ()`` would not parse.
+    """
+    cells = src.to_numpy(dtype=object).ravel()
+    vals = sorted(set(cells[pd.notna(cells)]))
+    if not vals:
+        return None
+    hexed = ", ".join(f"X'{v.encode().hex()}'" for v in vals)
+    return f"cast(value AS binary) IN ({hexed})"
 
 
 def coarse_retrieve(
@@ -86,10 +88,12 @@ def coarse_retrieve(
 ) -> list[str]:
     """Starmie-substitute pre-retrieval: rank lake tables by total distinct
     shared-value mass with the source, keep the top-k (DESIGN.md §6)."""
-    src_vals = source_value_df(spark, source).select("value").distinct()
+    pred = _value_filter(canon_str(source))
+    if pred is None:
+        return []
     hits = (
         repo.cells(spark)
-        .join(src_vals, on="value")
+        .where(pred)
         .groupBy("table")
         .agg(F.countDistinct("value").alias("n"))
         .orderBy(F.desc("n"), "table")
@@ -104,38 +108,45 @@ def _column_containments(
     src: pd.DataFrame,
     restrict_to: list[str] | None,
 ) -> pd.DataFrame:
-    """(table, col, src_col, overlap, matched value set) via one Spark query.
+    """(table, col, src_col, overlap, matched value set) from one Spark job.
 
-    ``src`` is the canonical source. Cells are distinct per (table, col,
-    value) and source values per (src_col, value), so each joined row is
-    one distinct shared value: a plain count and list suffice, with no
-    distinct aggregation.
+    ``src`` is the canonical source. The cells holding one of its values
+    are collected flat as ``(table, col, value)``; the rest is pandas.
+    Cells are distinct per (table, col, value) and the melted source per
+    (src_col, value), so each merged hit is one distinct shared value: a
+    plain count and set per (table, col, src_col) suffice.
     """
-    src_sizes = {c: max(1, int(src[c].dropna().nunique())) for c in src.columns}
-    joined = (
-        repo.cells(spark)
-        .join(_source_values(spark, src), on="value")
-        .groupBy("table", "col", "src_col")
-        .agg(
-            F.count("value").alias("n_shared"),
-            F.collect_list("value").alias("vals"),
-        )
+    pred = _value_filter(src)
+    hits = (
+        repo.cells(spark).where(pred).toPandas()
+        if pred is not None
+        else pd.DataFrame(columns=["table", "col", "value"])
     )
-    pdf = joined.toPandas()
     if restrict_to is not None:
-        # the aggregate is per table, so restricting its output is exact; in
-        # Spark, a semi-join adds two shuffle jobs and an IN list of ~1.5K
-        # literals costs more driver time than the whole query
-        pdf = pdf[pdf["table"].isin(list(restrict_to))].reset_index(drop=True)
+        # the counts are per table, so restricting the hits is exact; in
+        # Spark, an ``isin`` of ~1.5K table names costs more driver time than
+        # the whole query
+        hits = hits[hits["table"].isin(list(restrict_to))]
+    melted = pd.DataFrame(
+        {
+            "src_col": np.repeat(src.columns.to_numpy(dtype=object), len(src)),
+            "value": src.to_numpy(dtype=object).ravel(order="F"),
+        }
+    ).dropna().drop_duplicates()
+    pdf = (
+        hits.merge(melted, on="value")
+        .groupby(["table", "col", "src_col"])["value"]
+        .agg(n_shared="size", vals=frozenset)
+        .reset_index()
+    )
     if len(pdf):
         # full column extents, for the Jaccard-style specificity signal:
         # a dense id column "contains" every small-int source column, but
         # its huge extent gives it a near-zero Jaccard
         pdf["extent"] = [repo.extent(t, c) for t, c in zip(pdf["table"], pdf["col"])]
-        size = pdf["src_col"].map(src_sizes)
+        size = pdf["src_col"].map(melted["src_col"].value_counts())
         pdf["overlap"] = pdf["n_shared"] / size
         pdf["jac"] = pdf["n_shared"] / (size + pdf["extent"] - pdf["n_shared"]).clip(lower=1)
-        pdf["vals"] = pdf["vals"].map(frozenset)
         pdf = pdf.sort_values(
             ["src_col", "overlap", "table", "col"],
             ascending=[True, False, True, True],
@@ -380,11 +391,12 @@ def _rename_pdf(pdf: pd.DataFrame, name: str, mapping: dict[str, str]) -> pd.Dat
 def _row_set(c: Candidate, cols: list[str]) -> frozenset | None:
     if c.pdf is None or any(col not in c.pdf.columns for col in cols):
         return None
-    sub = c.pdf[cols]
-    return frozenset(
-        tuple(None if pd.isna(v) else v for v in r)
-        for r in sub.itertuples(index=False)
-    )
+    arrays = []
+    for col in cols:
+        vals = c.pdf[col].to_numpy(dtype=object, copy=True)
+        vals[pd.isna(vals)] = None
+        arrays.append(vals)
+    return frozenset(zip(*arrays))
 
 
 def _remove_subsumed(cands: list[Candidate]) -> list[Candidate]:

@@ -13,7 +13,7 @@ semantics; Gen-T matches values syntactically — see DESIGN.md §4.1), so
 outer union / subsumption / complementation and the DuckDB oracle all see
 one uniform type. The *cells* dataset is appended at build time so that
 candidate discovery over a 15K-table lake is a single distributed
-Spark scan + join instead of 15K file opens (DESIGN.md §2.1). Each column's
+filtered Spark scan instead of 15K file opens (DESIGN.md §2.1). Each column's
 *extent* — its number of distinct non-null values, i.e. its rows in the
 cells dataset — is written into the manifest at the same time, so
 discovery's Jaccard signal needs no second Spark query. Every schema is

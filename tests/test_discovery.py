@@ -8,7 +8,8 @@ from tests.conftest import jobs_started
 
 KEY = ["ID"]
 TAU = 0.3
-MAX_DISCOVERY_JOBS = 4
+MAX_DISCOVERY_JOBS = 1
+MAX_COARSE_JOBS = 3
 
 
 @pytest.fixture(scope="module")
@@ -94,20 +95,47 @@ class TestCoarseRetrieve:
     def test_top_k_limit(self, spark, fig3_repo, fig3_source):
         assert len(disc.coarse_retrieve(spark, fig3_repo, fig3_source, top_k=1)) == 1
 
+    @pytest.mark.parametrize("top_k", [1, 3, 10])
+    def test_equal_to_pandas_recount(self, spark, tmp_path, top_k):
+        lake = {
+            # t1, t2 and t3 tie on 2 shared values; "a" in two columns of t1
+            # counts once
+            "t3": pd.DataFrame({"c0": ["a", "b", "q"]}),
+            "t1": pd.DataFrame({"c0": ["a", "b"], "c1": ["a", None]}),
+            "t2": pd.DataFrame({"c0": ["c", "z"], "c1": ["d", "y"]}),
+            "t4": pd.DataFrame({"c0": ["a", "b", "c"]}),
+            "t5": pd.DataFrame({"c0": ["z"]}),
+        }
+        source = pd.DataFrame({"x": ["a", "b", "c", None], "y": ["d", "a", None, None]})
+        b = RepositoryBuilder(tmp_path / "lake")
+        for name, pdf in lake.items():
+            b.add(name, pdf)
+        repo = b.finish()
 
-class TestSourceValueDf:
-    def test_melt(self, spark, fig3_source):
-        df = disc.source_value_df(spark, fig3_source).toPandas()
-        assert set(df.columns) == {"src_col", "value"}
-        assert ("Name", "Smith") in set(map(tuple, df.values))
-        # nulls are not emitted
-        assert not df["value"].isna().any()
+        src_vals = set(source.stack())
+        counts = {
+            t: len(set(pdf.stack()) & src_vals) for t, pdf in lake.items()
+        }
+        want = sorted((t for t, n in counts.items() if n), key=lambda t: (-counts[t], t))
+        assert disc.coarse_retrieve(spark, repo, source, top_k=top_k) == want[:top_k]
+
+
+class TestValueFilter:
+    def test_distinct_values_nulls_dropped(self):
+        src = canon_str(
+            pd.DataFrame({"x": ["b", "a", "b", None], "y": [None, "a", float("nan"), "é"]})
+        )
+        # sorted distinct non-null values, as hex literals of their UTF-8 bytes
+        assert disc._value_filter(src) == "cast(value AS binary) IN (X'61', X'62', X'c3a9')"
+
+    def test_no_value(self):
+        assert disc._value_filter(canon_str(pd.DataFrame({"x": [None, None]}))) is None
 
 
 class TestSparkJobs:
-    # discovery's only Spark work is the containment query: one job per
-    # shuffle-map stage (cells side, source side, aggregate) and one for the
-    # collect. Lake reads and renames start no job.
+    # discovery's only Spark work is the containment query: one job, the
+    # filtered scan of the cells and its collect. Lake reads and renames
+    # start no job.
     @pytest.mark.parametrize("restrict_to", [None, ["A", "B", "C", "D", "E"]])
     def test_only_the_containment_query(self, spark, fig3_repo, fig3_source, restrict_to):
         cands, jobs = jobs_started(
@@ -119,19 +147,68 @@ class TestSparkJobs:
         assert "A" in {c.name for c in cands}
         assert len(jobs) <= MAX_DISCOVERY_JOBS
 
+    def test_hits_query_is_a_filtered_scan(self, spark, fig3_repo, fig3_source, monkeypatch):
+        frame_type = type(fig3_repo.cells(spark))
+        collected = []
+        to_pandas = frame_type.toPandas
+
+        def spy(df):
+            collected.append(df)
+            return to_pandas(df)
+
+        monkeypatch.setattr(frame_type, "toPandas", spy)
+        disc._column_containments(spark, fig3_repo, canon_str(fig3_source), None)
+        (hits,) = collected
+        plan = hits._jdf.queryExecution().executedPlan().toString()
+        assert "Exchange" not in plan
+        assert "Join" not in plan
+
+    def test_all_null_source_starts_no_job(self, spark, fig3_repo):
+        source = pd.DataFrame({"ID": [None, None], "Name": [None, None]})
+        cands, jobs = jobs_started(
+            spark, lambda: disc.set_similarity(spark, fig3_repo, source, KEY, tau=TAU)
+        )
+        assert cands == []
+        assert jobs == []
+
+    # coarse_retrieve ranks the whole lake in Spark over the same filtered
+    # scan: two shuffle-map jobs for the distinct count per table, then the
+    # top-k take
+    def test_coarse_retrieve(self, spark, fig3_repo, fig3_source):
+        top, jobs = jobs_started(
+            spark, lambda: disc.coarse_retrieve(spark, fig3_repo, fig3_source, top_k=3)
+        )
+        assert len(top) == 3
+        assert len(jobs) <= MAX_COARSE_JOBS
+
 
 class TestColumnContainments:
+    # values a SQL literal could mangle: quotes, backslashes, variable
+    # substitution, newlines, non-ASCII, the empty string and a hex literal's
+    # own text
+    TRICKY = ["", "O'Brien", "a\\b", "${spark.app.name}", "two\nlines", "é", "漢", "X'41'"]
+
     @pytest.mark.parametrize("restrict_to", [None, ["t"]])
     def test_equal_to_pandas_recount(self, spark, tmp_path, restrict_to):
+        tricky = self.TRICKY
         lake = {
             # "2" and "a" repeat within a column
             "t": pd.DataFrame(
-                {"c0": ["1", "2", "2", "3", None], "c1": ["a", "b", "a", "a", "2"]}
+                {
+                    "c0": ["1", "2", "2", "3", None] + tricky[:4],
+                    "c1": ["a", "b", "a", "a", "2"] + tricky[4:],
+                }
             ),
-            "u": pd.DataFrame({"c0": ["z", "a", "b"]}),
+            # "A" is what X'41' decodes to; "O''Brien" is its SQL escape
+            "u": pd.DataFrame({"c0": ["z", "a", "b", "A", "O''Brien"] + tricky}),
         }
         # "2" and "a" each appear in both source columns
-        source = pd.DataFrame({"x": ["1", "2", "a", "9"], "y": ["2", "a", "a", None]})
+        source = pd.DataFrame(
+            {
+                "x": ["1", "2", "a", "9"] + tricky,
+                "y": ["2", "a", "a", None] + tricky[::-1],
+            }
+        )
         b = RepositoryBuilder(tmp_path / "lake")
         for name, pdf in lake.items():
             b.add(name, pdf)
@@ -155,3 +232,21 @@ class TestColumnContainments:
                 got["overlap"], got["jac"], got["vals"])
         ) == want
         assert len(got) == len(want)
+
+
+class TestRowSet:
+    def test_equal_to_per_value_isna(self):
+        pdf = pd.DataFrame(
+            {
+                "a": ["x", None, float("nan"), "y", "x"],
+                "b": [float("nan"), "1", None, None, float("nan")],
+            }
+        )
+        c = disc.Candidate(name="t", df=None, mapping={}, col_overlaps={}, pdf=pdf)
+        want = frozenset(
+            tuple(None if pd.isna(v) else v for v in r)
+            for r in pdf[["a", "b"]].itertuples(index=False)
+        )
+        assert disc._row_set(c, ["a", "b"]) == want
+        # the candidate's cache keeps its NaN
+        assert pdf["a"].isna().sum() == 2
