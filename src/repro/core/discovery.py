@@ -33,7 +33,9 @@ tables — Example 9's case — are penalised identically.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -53,7 +55,7 @@ class Candidate:
     """A candidate originating table, schema-matched to the source."""
 
     name: str
-    df: DataFrame  # mapped cols renamed to source names; unmapped cols prefixed
+    load: Callable[[], DataFrame] = field(repr=False)  # builds ``df``
     mapping: dict[str, str]  # source col -> original lake col
     col_overlaps: dict[str, float]  # source col -> containment score
     matched_values: dict[str, frozenset] = field(default_factory=dict)
@@ -64,6 +66,14 @@ class Candidate:
     def __post_init__(self):
         if not self.provenance:
             self.provenance = (self.name,)
+
+    @functools.cached_property
+    def df(self) -> DataFrame:
+        """The candidate as a Spark frame, built on first read: mapped
+        columns renamed to source names, unmapped ones prefixed. Gen-T reads
+        ``pdf`` where it has one; the baselines and the uncached key slice
+        read this."""
+        return self.load()
 
 
 def _value_filter(src: pd.DataFrame) -> str | None:
@@ -357,7 +367,7 @@ def set_similarity(
         cands.append(
             Candidate(
                 name=name,
-                df=None,  # set below for the candidates that survive
+                load=functools.partial(_load_renamed, spark, repo, name, mapping),
                 mapping=mapping,
                 col_overlaps=overlaps,
                 matched_values=matched,
@@ -366,10 +376,7 @@ def set_similarity(
             )
         )
 
-    kept = _remove_subsumed(cands)
-    for c in kept:
-        c.df = _rename(repo.load(spark, c.name), c.name, c.mapping)
-    return kept
+    return _remove_subsumed(cands)
 
 
 def _renamed(columns: list[str], name: str, mapping: dict[str, str]) -> list[str]:
@@ -378,7 +385,10 @@ def _renamed(columns: list[str], name: str, mapping: dict[str, str]) -> list[str
     return [inv.get(c, f"{name}{UNMAPPED_SEP}{c}") for c in columns]
 
 
-def _rename(df: DataFrame, name: str, mapping: dict[str, str]) -> DataFrame:
+def _load_renamed(
+    spark: SparkSession, repo: TableRepository, name: str, mapping: dict[str, str]
+) -> DataFrame:
+    df = repo.load(spark, name)
     return df.toDF(*_renamed(df.columns, name, mapping))
 
 

@@ -4,9 +4,13 @@ Candidates that do not map the source key columns (start nodes) are joined
 through other candidates to ones that do (end nodes), along the best path
 of a join graph. Edges connect candidates that share a joinable column;
 following the paper, edge weights are the value overlap of the joinable
-columns (a standard join-cardinality-style estimate). Join *materialisation*
-is a Spark equi-join; edge weights come from the candidates' cached value
-sets (sampled above ``_SAMPLE`` distinct values).
+columns (a standard join-cardinality-style estimate). Edge weights and
+joins both read one renamed pandas frame per candidate: its discovery
+cache, or, for a table over ``PANDAS_CAP``, the table loaded once per
+``expand`` call. Joins run on the driver and build no Spark plan; an
+expanded candidate's Spark frame is built from its joined frame on first
+read. Edge weights use value sets sampled above ``_SAMPLE`` distinct
+values.
 
 Path scoring departs from a plain max-sum DFS in one way: each extra hop
 subtracts ``HOP_PENALTY``, and paths are capped at ``MAX_HOPS`` edges —
@@ -15,12 +19,16 @@ sources join at most 3 tables.
 """
 from __future__ import annotations
 
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+import functools
+from typing import TYPE_CHECKING
 
-from repro.core.discovery import UNMAPPED_SEP, Candidate
-from repro.lake.repository import TableRepository
+import pandas as pd
+
+from repro.core.discovery import Candidate, _rename_pdf
+from repro.lake.repository import TableRepository, to_spark
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 MIN_JOIN_JACCARD = 0.3
 MIN_JOIN_EXTENT = 4  # never equi-join on a near-constant column
@@ -30,20 +38,23 @@ MAX_EXPANSIONS = 16
 _SAMPLE = 20_000
 
 
-def _value_sets(cand: Candidate, repo: TableRepository) -> dict[str, frozenset]:
+def _frame(cand: Candidate, repo: TableRepository) -> pd.DataFrame:
+    """The candidate's renamed pandas frame: its cache, else the lake table."""
+    if cand.pdf is not None:
+        return cand.pdf
+    return _rename_pdf(repo.load_pdf(cand.name), cand.name, cand.mapping)
+
+
+def _value_sets(cand: Candidate, pdf: pd.DataFrame) -> dict[str, frozenset]:
     """Joinable-column value sets of a raw candidate (sampled).
 
-    A column qualifies as a join candidate if it has at least
-    MIN_JOIN_EXTENT distinct values *or* is near-unique within its table —
-    the absolute floor rejects categorical domains in big tables without
-    disqualifying the only (tiny) join column of a 3-row web table."""
+    ``pdf`` is the candidate's renamed frame (``_frame``). A column
+    qualifies as a join candidate if it has at least MIN_JOIN_EXTENT
+    distinct values *or* is near-unique within its table — the absolute
+    floor rejects categorical domains in big tables without disqualifying
+    the only (tiny) join column of a 3-row web table."""
     if len(cand.provenance) != 1:
         return {}
-    pdf = cand.pdf
-    if pdf is None:
-        from repro.core.discovery import _rename_pdf
-
-        pdf = _rename_pdf(repo.load_pdf(cand.name), cand.name, cand.mapping)
     n_rows = max(1, len(pdf))
     out = {}
     for col in pdf.columns:
@@ -139,13 +150,16 @@ def expand(
     """Replace keyless candidates by their best join-expansion to the key.
 
     Candidates with no path to a key-bearing candidate are dropped (their
-    tuples can never align with the source)."""
+    tuples can never align with the source). ``source``, when given, is
+    the canonical source (``canon_str``); it prunes an expanded path's
+    mapped columns that do not match it."""
     with_key = [c for c in cands if all(k in c.mapping for k in key_cols)]
     without = [c for c in cands if not all(k in c.mapping for k in key_cols)]
     if not without or not with_key:
         return with_key
 
-    vsets = {c.name: _value_sets(c, repo) for c in cands}
+    frames = {c.name: _frame(c, repo) for c in cands}
+    vsets = {c.name: _value_sets(c, frames[c.name]) for c in cands}
     by_name = {c.name: c for c in cands}
     adj: dict[str, list[tuple[str, float]]] = {}
     edges: dict[tuple[str, str], tuple[str, str, float]] = {}
@@ -169,7 +183,9 @@ def expand(
         if n_expanded >= MAX_EXPANSIONS:
             break
         for path in _best_paths(c.name, ends, adj, top_p=top_p):
-            cand = _materialise_path(c, path, by_name, edges, key_cols, source)
+            cand = _materialise_path(
+                spark, c, path, by_name, frames, edges, key_cols, source
+            )
             if cand is not None:
                 out.append(cand)
                 n_expanded += 1
@@ -178,30 +194,13 @@ def expand(
     return out
 
 
-def _join_spark(df: DataFrame, right: DataFrame, ca: str, cb: str) -> DataFrame:
-    """Inner equi-join on one column pair; shared names coalesce."""
-    joined = df.join(right, on=df[ca] == right[cb], how="inner")
-    out_cols = []
-    seen: set[str] = set()
-    for name in list(df.columns) + list(right.columns):
-        if name in seen:
-            continue
-        seen.add(name)
-        if name in df.columns and name in right.columns:
-            out_cols.append(F.coalesce(df[name], right[name]).alias(name))
-        elif name in df.columns:
-            out_cols.append(df[name])
-        else:
-            out_cols.append(right[name])
-    return joined.select(out_cols)
-
-
 def _join_pdfs(
     lp: pd.DataFrame, rp: pd.DataFrame, ca: str, cb: str
 ) -> pd.DataFrame:
-    """Pandas mirror of ``_join_spark``: its result feeds both matrix
-    encoding and integration. pandas ``merge`` matches null to null, SQL's
-    equi-join does not, so null join values are dropped first."""
+    """Inner equi-join on one column pair, as SQL joins: a null join value
+    matches nothing (pandas ``merge`` would pair null with null, so null
+    join values are dropped first), and a column both sides share is
+    coalesced, left first."""
     shared = [c for c in lp.columns if c in set(rp.columns)]
     merged = lp[lp[ca].notna()].merge(
         rp[rp[cb].notna()], left_on=ca, right_on=cb, how="inner", suffixes=("", "\x00r")
@@ -215,9 +214,11 @@ def _join_pdfs(
 
 
 def _materialise_path(
+    spark: SparkSession,
     start: Candidate,
     path: list[str],
     by_name: dict[str, Candidate],
+    frames: dict[str, pd.DataFrame],
     edges: dict[tuple[str, str], tuple[str, str, float]],
     key_cols: list[str],
     source: pd.DataFrame | None = None,
@@ -225,17 +226,18 @@ def _materialise_path(
     """Join along the path, then keep only the start table's mapped columns
     plus the key. The tables joined through are candidates in their own
     right — carrying their attribute columns through the chain would count
-    their (possibly erroneous) values twice (DESIGN.md §6)."""
-    df = start.df
-    pdf = start.pdf
+    their (possibly erroneous) values twice (DESIGN.md §6).
+
+    ``frames`` holds each candidate's renamed pandas frame (``_frame``);
+    ``source`` is the canonical source, or None to skip the pruning."""
+    pdf = frames[start.name]
     mapping = dict(start.mapping)
     overlaps = dict(start.col_overlaps)
     matched = dict(start.matched_values)
     for prev, nxt in zip(path, path[1:]):
         ca, cb, _w = edges[(prev, nxt)]
         nxt_c = by_name[nxt]
-        df = _join_spark(df, nxt_c.df, ca, cb)
-        pdf = None if pdf is None or nxt_c.pdf is None else _join_pdfs(pdf, nxt_c.pdf, ca, cb)
+        pdf = _join_pdfs(pdf, frames[nxt], ca, cb)
         for k in key_cols:
             if k not in mapping and k in nxt_c.mapping:
                 mapping[k] = nxt_c.mapping[k]
@@ -245,16 +247,14 @@ def _materialise_path(
     if not all(k in mapping for k in key_cols):
         return None
     keep = list(dict.fromkeys(list(key_cols) + [s for s in start.mapping]))
-    keep = [c for c in keep if c in df.columns]
+    keep = [c for c in keep if c in pdf.columns]
     if not all(k in keep for k in key_cols):
         return None
     # prune mapped columns that do not actually match the source under the
     # now-available key alignment (a keyless candidate's containment-only
     # mapping can be wrong; cheap to check once the chain has a key)
-    if source is not None and pdf is not None and all(c in pdf.columns for c in keep):
-        from repro.lake.repository import canon_str
-
-        src = canon_str(source).drop_duplicates(list(key_cols))
+    if source is not None:
+        src = source.drop_duplicates(list(key_cols))
         merged = pdf[keep].drop_duplicates(list(key_cols)).merge(
             src, on=list(key_cols), how="inner", suffixes=("", "\x00s")
         )
@@ -272,13 +272,14 @@ def _materialise_path(
                     keep.remove(c)
             if len(keep) <= len(key_cols):
                 return None
+    joined = pdf[keep]
     return Candidate(
         name="+".join(path),
-        df=df.select(keep),
+        load=functools.partial(to_spark, spark, joined),
         mapping={s: c for s, c in mapping.items() if s in keep},
         col_overlaps={s: v for s, v in overlaps.items() if s in keep},
         matched_values={s: v for s, v in matched.items() if s in keep},
         score=start.score,
         provenance=tuple(p for n in path for p in by_name[n].provenance),
-        pdf=pdf[keep] if pdf is not None and all(c in pdf.columns for c in keep) else None,
+        pdf=joined,
     )

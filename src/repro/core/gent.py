@@ -15,7 +15,7 @@ from repro.core import discovery as disc
 from repro.core import expand as exp
 from repro.core import integrate as integ
 from repro.core import matrix as mtx
-from repro.lake.repository import TableRepository, to_spark
+from repro.lake.repository import TableRepository, canon_str, to_spark
 
 
 @dataclass
@@ -80,9 +80,15 @@ def reclaim_from_candidates(
     key_cols: list[str],
 ) -> GenTResult:
     """Gen-T's pruning + integration given an already-retrieved candidate
-    set (the runner hands the same set to every method, paper §VI-B)."""
+    set (the runner hands the same set to every method, paper §VI-B).
+
+    The source is canonicalised once, here; Expand, the matrices and
+    integration all read that frame. A candidate with a pandas frame is
+    never turned into a Spark plan: the only Spark frame built is the
+    reclaimed table's."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
+    source = canon_str(source)
     cands = exp.expand(spark, repo, cands, key_cols, source=source)
     timings["expand"] = time.perf_counter() - t0
     if not cands:

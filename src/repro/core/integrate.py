@@ -15,7 +15,9 @@ Pipeline per source table:
 After ProjectSelect every table is bounded by |S| × fan-out (§VI-A), so
 the whole algorithm runs on the driver over pandas frames, with the
 pairwise kernels applied per key group (DESIGN.md §4.3). It starts no
-Spark job; the caller hands the result back to Spark once.
+Spark job; the caller hands the result back to Spark once. The source
+and the tables arrive canonical (``canon_str``), so nothing here
+re-canonicalises them.
 """
 from __future__ import annotations
 
@@ -25,16 +27,15 @@ import pandas as pd
 
 from repro.core import metrics_core as mc
 from repro.core import operators as ops
-from repro.lake.repository import canon_str
 
 LABEL_PREFIX = "##NULL##"
 _KEY_SEP = "\x1f"
 
 
 def label_source_nulls(source: pd.DataFrame, key_cols: Sequence[str]) -> pd.DataFrame:
-    """Working copy of S with each null replaced by a unique label
-    ``##NULL##<key values>\\x1f<column>``."""
-    src = canon_str(source).reset_index(drop=True)
+    """Working copy of the canonical S with each null replaced by a unique
+    label ``##NULL##<key values>\\x1f<column>``."""
+    src = source.reset_index(drop=True)
     key_str = pd.Series(LABEL_PREFIX, index=src.index)
     for i, k in enumerate(key_cols):
         key_str = key_str + ("" if i == 0 else _KEY_SEP) + src[k].fillna("")
@@ -87,16 +88,17 @@ def integrate(
 ) -> pd.DataFrame | None:
     """Alg 2 — integrate originating tables into a reclaimed table.
 
-    ``tables`` are all-string pandas frames in integration order; tables
-    without S's key columns are skipped. Returns a frame with exactly S's
-    columns, or None when no table can be integrated.
+    ``source`` is canonical (``canon_str``) and ``tables`` are all-string
+    pandas frames in integration order; tables without S's key columns are
+    skipped. Returns a frame with exactly S's columns, or None when no
+    table can be integrated.
     """
-    src = canon_str(source).reset_index(drop=True)
+    src = source.reset_index(drop=True)
     key_cols = list(key_cols)
     pre = []
     for t in tables:
         try:
-            pre.append(ops.project_select_pdf(canon_str(t), src, key_cols))
+            pre.append(ops.project_select_pdf(t, src, key_cols))
         except ValueError:
             continue
     if not pre:

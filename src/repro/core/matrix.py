@@ -13,11 +13,14 @@ a dict ``key tuple → list of row vectors`` (§V-A3). ``combine`` merges two
 matrices with the paper's Combine(): rows that conflict (a 1 meets a −1 in
 some column) stay separate, otherwise elementwise max (logical OR).
 
-Matrix *initialisation* encodes the candidate's key-aligned slice (cut
-from its pandas cache, or one Spark semi-join on the source key);
-traversal itself is a driver-side greedy loop over |S|-sized numpy
-arrays — exactly the point of the method: candidates are pruned without
-executing real integrations.
+Matrix *initialisation* encodes the candidate's key-aligned slice. The
+slice is cut on the driver from the candidate's pandas frame (its
+discovery cache, or the joined frame of an Expand path); only a table
+over ``PANDAS_CAP`` that needs no join is cut by one Spark semi-join on
+the source key. Traversal itself is a driver-side greedy loop over
+|S|-sized numpy arrays — exactly the point of the method: candidates are
+pruned without executing real integrations. ``source`` is the canonical
+source (``canon_str``) throughout: the caller canonicalises it once.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.operators import as_strings, project_select_pdf
-from repro.lake.repository import canon_str, to_spark
+from repro.lake.repository import to_spark
 
 Matrix = dict[tuple, list[np.ndarray]]
 
@@ -42,10 +45,11 @@ def encode_matrix(
 ) -> Matrix:
     """Three-valued encoding (Eq 4) of key-aligned candidate tuples.
 
-    ``aligned`` holds rows of the candidate already renamed to source
-    columns; missing source columns are treated as null.
+    ``source`` is canonical (``canon_str``); ``aligned`` holds rows of the
+    candidate already renamed to source columns; missing source columns are
+    treated as null.
     """
-    src = canon_str(source).reset_index(drop=True)
+    src = source.reset_index(drop=True)
     cols = list(src.columns)
     kidx = [cols.index(k) for k in key_cols]
 

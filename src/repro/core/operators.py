@@ -21,7 +21,6 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.lake.repository import canon_str
 
 # Groups larger than this skip pairwise β/κ (returned unchanged) so one
 # degenerate block cannot make the whole job quadratic; baselines that rely
@@ -167,14 +166,15 @@ def project_select_pdf(
 ) -> pd.DataFrame:
     """ProjectSelect (Alg 2 line 3) on a pandas frame of canonical strings.
 
-    Semi-join semantics, as ``project_select``'s ``leftsemi``: a row with a
-    null key value never matches, duplicate source keys do not multiply
-    rows, and the rows keep their order.
+    ``source`` is canonical too (``canon_str``). Semi-join semantics, as
+    ``project_select``'s ``leftsemi``: a row with a null key value never
+    matches, duplicate source keys do not multiply rows, and the rows keep
+    their order.
     """
     missing = [k for k in key_cols if k not in pdf.columns]
     if missing:
         raise ValueError(f"table lacks source key columns {missing}")
-    src_keys = canon_str(source[list(key_cols)]).dropna()
+    src_keys = source[list(key_cols)].dropna()
     wanted = set(src_keys.itertuples(index=False, name=None))
     mask = [k in wanted for k in zip(*(pdf[k] for k in key_cols))]
     keep = [c for c in pdf.columns if c in source.columns]

@@ -103,8 +103,9 @@ def fig3_s2hat() -> pd.DataFrame:
 
 
 def stale_layout(root, params: dict):
-    """Strip a built lake down to what ``data/tptr_small`` holds in git: a
-    manifest without extents and ``params.json``, no tables, no cells."""
+    """Strip a built lake down to a stale layout: a manifest without
+    extents and ``params.json``, no tables, no cells (what ``data/``'s
+    tracked manifests used to leave in a fresh checkout)."""
     manifest = json.loads((root / "manifest.json").read_text())
     for entry in manifest.values():
         del entry["extents"]
@@ -126,3 +127,65 @@ def jobs_started(spark, fn):
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)  # job events are async
     return out, list(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def reclaim_spark_free(spark, repo, source, key_cols, monkeypatch, **kw):
+    """``set_similarity`` then ``gent.reclaim_from_candidates``, recording
+    the ``TableRepository.load`` calls and the Spark jobs started by the
+    time the reclaimed table is handed to ``to_spark``.
+
+    Returns (candidates, result, {"loads": [...], "jobs": [...]}); the
+    record is empty when nothing was reclaimed.
+    """
+    from repro.core import discovery as disc
+    from repro.core import gent
+    from repro.lake.repository import TableRepository
+
+    loads: list[str] = []
+    real_load = TableRepository.load
+
+    def counting_load(self, sp, name):
+        loads.append(name)
+        return real_load(self, sp, name)
+
+    monkeypatch.setattr(TableRepository, "load", counting_load)
+    cands = disc.set_similarity(spark, repo, source, key_cols, **kw)
+
+    sc = spark.sparkContext
+    group = f"spark-free-{uuid.uuid4().hex}"
+    seen: dict[str, list] = {}
+    real_to_spark = gent.to_spark
+
+    def to_spark_spy(sp, pdf):
+        sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)  # job events are async
+        seen["loads"] = list(loads)
+        seen["jobs"] = list(sc.statusTracker().getJobIdsForGroup(group))
+        return real_to_spark(sp, pdf)
+
+    monkeypatch.setattr(gent, "to_spark", to_spark_spy)
+    sc.setJobGroup(group, "reclaim_spark_free")
+    try:
+        res = gent.reclaim_from_candidates(spark, repo, cands, source, key_cols)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return cands, res, seen
+
+
+def reclaimed_rows(res) -> list[tuple]:
+    pdf = res.reclaimed.toPandas()
+    return sorted(pdf.itertuples(index=False, name=None), key=repr)
+
+
+def assert_same_reclamation(spark, repo, typed, key_cols, tau):
+    """A typed source reclaims exactly as its canonical form does."""
+    from repro.core import discovery as disc
+    from repro.core import gent
+    from repro.lake.repository import canon_str
+
+    cands = disc.set_similarity(spark, repo, typed, key_cols, tau=tau)
+    got = gent.reclaim_from_candidates(spark, repo, cands, typed, key_cols)
+    want = gent.reclaim_from_candidates(spark, repo, cands, canon_str(typed), key_cols)
+    assert want.reclaimed is not None
+    assert got.candidates == want.candidates
+    assert got.originating == want.originating
+    assert reclaimed_rows(got) == reclaimed_rows(want)

@@ -31,7 +31,7 @@ def cands_with_c(spark, fig3_repo, cands):
     )
     c_cand = disc.Candidate(
         name="C",
-        df=c_df,
+        load=lambda: c_df,
         mapping={"Name": "c0", "Gender": "c1"},
         col_overlaps={"Name": 1.0, "Gender": 0.5},
         matched_values={

@@ -242,7 +242,7 @@ class TestRowSet:
                 "b": [float("nan"), "1", None, None, float("nan")],
             }
         )
-        c = disc.Candidate(name="t", df=None, mapping={}, col_overlaps={}, pdf=pdf)
+        c = disc.Candidate(name="t", load=None, mapping={}, col_overlaps={}, pdf=pdf)
         want = frozenset(
             tuple(None if pd.isna(v) else v for v in r)
             for r in pdf[["a", "b"]].itertuples(index=False)

@@ -1,4 +1,5 @@
 """Expand (Alg 5): keyless candidates joined through the join graph."""
+import pandas as pd
 import pytest
 
 from repro.core import discovery as disc
@@ -60,6 +61,55 @@ class TestExpand:
         assert out == []
 
 
+class TestUncachedPath:
+    """A path through a table over ``PANDAS_CAP`` (no discovery cache) joins
+    the same frame as a cached run: Expand loads the table itself."""
+
+    @pytest.fixture(scope="class")
+    def lake(self, tmp_path_factory, fig3_tables):
+        from repro.lake.repository import RepositoryBuilder
+
+        b = RepositoryBuilder(tmp_path_factory.mktemp("uncached_lake"))
+        tables = dict(fig3_tables)
+        # A, the key-bearing end of every path, is the one table over the cap
+        a = fig3_tables["A"]
+        tables["A"] = pd.concat(
+            [a, pd.DataFrame([["9", "Stranger", "PhD"]], columns=a.columns)],
+            ignore_index=True,
+        )
+        for name, pdf in tables.items():
+            anon = pdf.copy()
+            anon.columns = [f"c{i}" for i in range(len(pdf.columns))]
+            b.add(name, anon)
+        return b.finish()
+
+    def _run(self, spark, lake, source):
+        from repro.core import matrix as mtx
+        from repro.lake.repository import canon_str
+
+        src = canon_str(source)
+        cands = disc.set_similarity(spark, lake, source, KEY, tau=TAU)
+        out = exp.expand(spark, lake, cands, KEY, source=src)
+
+        def rows(pdf):
+            return sorted(pdf.values.tolist(), key=repr)
+
+        return cands, {
+            c.name: (rows(mtx.key_slice(spark, c, src, KEY)), rows(c.df.toPandas()))
+            for c in out
+        }
+
+    def test_same_paths_slices_and_rows(self, spark, lake, fig3_source, monkeypatch):
+        cached_cands, cached = self._run(spark, lake, fig3_source)
+        monkeypatch.setattr(disc, "PANDAS_CAP", 3)
+        cands, uncached = self._run(spark, lake, fig3_source)
+        assert [c.name for c in cands] == [c.name for c in cached_cands]
+        assert [c.name for c in cands if c.pdf is None] == ["A"]
+        assert any(n.endswith("+A") for n in uncached), uncached
+        assert list(uncached) == list(cached)
+        assert uncached == cached
+
+
 class TestBestPaths:
     def test_direct(self):
         adj = {"a": [("b", 1.0)], "b": [("a", 1.0)]}
@@ -98,36 +148,49 @@ class TestBestPaths:
 
 
 class TestJoinNulls:
-    """An Expand path's pandas cache feeds integration, so it must join as
-    SQL does: a null join value matches nothing."""
+    """An Expand path is the SQL equi-join of its tables' frames: a null
+    join value matches nothing, and a column both sides hold is coalesced,
+    left first."""
 
     def test_null_join_values_do_not_pair(self, spark):
-        import pandas as pd
-
+        from repro import oracle
         from repro.core import matrix as mtx
-        from repro.lake.repository import to_spark
 
         source = pd.DataFrame(
-            {"ID": ["0", "1", "2"], "Name": ["Smith", "Brown", "Wang"],
-             "Gender": ["Male", "Female", "Female"]}
+            {"ID": ["0", "1", "2", "3"], "Name": ["Smith", "Brown", "Wang", "Li"],
+             "Gender": ["Male", "Female", "Female", "Male"]}
         )
         keyless = pd.DataFrame(
-            {"Name": [None, None, "Wang"], "Gender": ["Male", "Female", "Female"]}
+            {"Name": [None, None, "Wang", "Li"], "Gender": ["Male", "Female", "Female", None]}
         )
-        keyed = pd.DataFrame({"ID": ["0", "1", "2"], "Name": [None, None, "Wang"]})
+        keyed = pd.DataFrame(
+            {"ID": ["0", "1", "2", "3", "4"], "Name": [None, None, "Wang", "Li", "Li"],
+             "Gender": [None, None, "Male", "Male", "Female"]}
+        )
 
         def cand(name, pdf, mapping):
             return disc.Candidate(
-                name=name, df=to_spark(spark, pdf), mapping=mapping,
+                name=name, load=None, mapping=mapping,
                 col_overlaps={c: 1.0 for c in mapping}, pdf=pdf,
             )
 
         c = cand("C", keyless, {"Name": "c0", "Gender": "c1"})
-        a = cand("A", keyed, {"ID": "c0", "Name": "c1"})
+        a = cand("A", keyed, {"ID": "c0", "Name": "c1", "Gender": "c2"})
+        frames = {"C": keyless, "A": keyed}
         edges = {("C", "A"): ("Name", "Name", 1.0), ("A", "C"): ("Name", "Name", 1.0)}
-        path = exp._materialise_path(c, ["C", "A"], {"C": c, "A": a}, edges, KEY)
-        assert path is not None and path.pdf is not None
-        via_cache = mtx.key_slice(spark, path, source, KEY)
-        via_spark = mtx.key_slice(spark, path.df, source, KEY)
-        assert via_cache.values.tolist() == [["2", "Wang", "Female"]]
-        assert sorted(via_cache.values.tolist()) == sorted(via_spark.values.tolist())
+        path = exp._materialise_path(
+            spark, c, ["C", "A"], {"C": c, "A": a}, frames, edges, KEY
+        )
+        assert path is not None
+        oracle.assert_equivalent(
+            path.df,
+            'SELECT a."ID" AS "ID", coalesce(c."Name", a."Name") AS "Name", '
+            'coalesce(c."Gender", a."Gender") AS "Gender" '
+            'FROM c JOIN a ON c."Name" = a."Name"',
+            c=keyless,
+            a=keyed,
+        )
+        # ID 4 is not a source key; "Li" fans out to IDs 3 and 4
+        assert sorted(mtx.key_slice(spark, path, source, KEY).values.tolist()) == [
+            ["2", "Wang", "Female"], ["3", "Li", "Male"]
+        ]

@@ -29,7 +29,7 @@ class TestCached:
         assert not experiments._cached(lake, {**PARAMS, "seed": 1})
 
     def test_manifest_and_params_only(self, lake):
-        # the layout of today's data/tptr_small: no tables, no cells, no extents
+        # a stale layout: no tables, no cells, no extents
         assert not experiments._cached(stale_layout(lake, PARAMS), PARAMS)
 
     def test_missing_table_file(self, lake):

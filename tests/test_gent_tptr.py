@@ -5,10 +5,12 @@ corrupted variants (2 complementary-nullified + 2 erroneous per TPC-H
 table) and the pipeline must pick the nullified ones and κ them back
 together.
 """
+import numpy as np
 import pytest
 
 from repro.bench import tptr
 from repro.harness import runner
+from tests.conftest import assert_same_reclamation, reclaim_spark_free
 
 
 @pytest.fixture(scope="module")
@@ -17,8 +19,12 @@ def bench(spark, tmp_path_factory):
     return tptr.build_tptr(spark, root, sf=0.001, target_rows=20, seed=0)
 
 
+def source(bench, qname):
+    return next(x for x in bench.sources if x.name == qname)
+
+
 def run(spark, bench, qname, methods):
-    s = next(x for x in bench.sources if x.name == qname)
+    s = source(bench, qname)
     return runner.run_source(
         spark, bench.repo, s.name, s.table, s.key_cols, methods,
         int_set=bench.int_sets[s.name], budget_s=300,
@@ -62,6 +68,31 @@ class TestGenTOnTptr:
         cells = run(spark, bench, "q03", ["alite_ps_int"])
         assert len(cells) == 1
         assert cells[0].recall > 0.5
+
+
+class TestAfterDiscovery:
+    def test_expand_path_builds_no_spark_plan(self, spark, bench, monkeypatch):
+        # q09's customer columns come from keyless candidates joined through
+        # orders: the guard covers Expand, not only keyed candidates
+        s = source(bench, "q09")
+        cands, res, seen = reclaim_spark_free(
+            spark, bench.repo, s.table, s.key_cols, monkeypatch, tau=0.2
+        )
+        assert all(c.pdf is not None for c in cands)
+        assert any("+" in n for n in res.candidates), res.candidates
+        assert res.reclaimed is not None
+        assert seen == {"loads": [], "jobs": []}
+
+    def test_typed_composite_key_source(self, spark, bench):
+        # q05 is keyed on (l_orderkey, l_linenumber)
+        s = source(bench, "q05")
+        typed = s.table.assign(
+            l_orderkey=s.table["l_orderkey"].astype(int),
+            l_linenumber=s.table["l_linenumber"].astype(int),
+            l_extendedprice=s.table["l_extendedprice"].astype(float),
+        )
+        typed.loc[0, "l_extendedprice"] = np.nan
+        assert_same_reclamation(spark, bench.repo, typed, s.key_cols, 0.2)
 
 
 class TestAblationVariants:
