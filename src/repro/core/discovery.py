@@ -42,6 +42,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.operators import null_none
 from repro.lake.repository import TableRepository, canon_str
 
 UNMAPPED_SEP = "__u__"  # unmapped columns keep "{table}__u__{col}" names
@@ -376,7 +377,7 @@ def set_similarity(
             )
         )
 
-    return _remove_subsumed(cands)
+    return _remove_subsumed(cands, repo)
 
 
 def _renamed(columns: list[str], name: str, mapping: dict[str, str]) -> list[str]:
@@ -398,18 +399,18 @@ def _rename_pdf(pdf: pd.DataFrame, name: str, mapping: dict[str, str]) -> pd.Dat
     return out
 
 
-def _row_set(c: Candidate, cols: list[str]) -> frozenset | None:
-    if c.pdf is None or any(col not in c.pdf.columns for col in cols):
-        return None
-    arrays = []
-    for col in cols:
-        vals = c.pdf[col].to_numpy(dtype=object, copy=True)
-        vals[pd.isna(vals)] = None
-        arrays.append(vals)
-    return frozenset(zip(*arrays))
+def renamed_frame(cand: Candidate, repo: TableRepository) -> pd.DataFrame:
+    """The candidate's renamed pandas frame: its cache, else the lake table."""
+    if cand.pdf is not None:
+        return cand.pdf
+    return _rename_pdf(repo.load_pdf(cand.name), cand.name, cand.mapping)
 
 
-def _remove_subsumed(cands: list[Candidate]) -> list[Candidate]:
+def _row_set(pdf: pd.DataFrame, cols: list[str]) -> frozenset:
+    return frozenset(zip(*(null_none(pdf[c]) for c in cols)))
+
+
+def _remove_subsumed(cands: list[Candidate], repo: TableRepository) -> list[Candidate]:
     """Alg 3 line 15: drop candidates whose mapped columns and column
     values are contained in another candidate's.
 
@@ -417,14 +418,17 @@ def _remove_subsumed(cands: list[Candidate]) -> list[Candidate]:
     redundant only if every one of its mapped tuples appears in the other —
     the Example 9 duplicate case). Value-set containment alone would also
     kill complementary corrupted variants whose low-cardinality columns
-    happen to share extents. Falls back to matched-value containment when a
-    candidate is too large for the pandas cache.
+    happen to share extents. A candidate too large for the pandas cache is
+    loaded in pandas when a comparison needs its rows.
     """
-    row_sets: dict[tuple[int, tuple[str, ...]], frozenset | None] = {}
+    frames: dict[int, pd.DataFrame] = {}
+    row_sets: dict[tuple[int, tuple[str, ...]], frozenset] = {}
 
-    def rows_of(k: int, cols: tuple[str, ...]) -> frozenset | None:
+    def rows_of(k: int, cols: tuple[str, ...]) -> frozenset:
         if (k, cols) not in row_sets:
-            row_sets[k, cols] = _row_set(cands[k], list(cols))
+            if k not in frames:
+                frames[k] = renamed_frame(cands[k], repo)
+            row_sets[k, cols] = _row_set(frames[k], list(cols))
         return row_sets[k, cols]
 
     keep: list[Candidate] = []
@@ -435,23 +439,7 @@ def _remove_subsumed(cands: list[Candidate]) -> list[Candidate]:
             if i == j or not (set(a.mapping) <= set(b.mapping)):
                 continue
             ra, rb = rows_of(i, a_cols), rows_of(j, a_cols)
-            if ra is not None and rb is not None:
-                contained = ra <= rb
-                strictly = ra < rb
-            else:
-                contained = all(
-                    a.matched_values.get(s, frozenset())
-                    <= b.matched_values.get(s, frozenset())
-                    for s in a.mapping
-                )
-                strictly = any(
-                    a.matched_values.get(s, frozenset())
-                    < b.matched_values.get(s, frozenset())
-                    for s in a.mapping
-                )
-            if contained and (
-                set(a.mapping) != set(b.mapping) or strictly or j < i
-            ):
+            if ra <= rb and (set(a.mapping) != set(b.mapping) or ra < rb or j < i):
                 subsumed = True
                 break
         if not subsumed:

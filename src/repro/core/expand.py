@@ -22,9 +22,11 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING
 
+import numpy as np
 import pandas as pd
 
-from repro.core.discovery import Candidate, _rename_pdf
+from repro.core.discovery import Candidate, renamed_frame
+from repro.core.operators import null_none
 from repro.lake.repository import TableRepository, to_spark
 
 if TYPE_CHECKING:
@@ -38,17 +40,10 @@ MAX_EXPANSIONS = 16
 _SAMPLE = 20_000
 
 
-def _frame(cand: Candidate, repo: TableRepository) -> pd.DataFrame:
-    """The candidate's renamed pandas frame: its cache, else the lake table."""
-    if cand.pdf is not None:
-        return cand.pdf
-    return _rename_pdf(repo.load_pdf(cand.name), cand.name, cand.mapping)
-
-
 def _value_sets(cand: Candidate, pdf: pd.DataFrame) -> dict[str, frozenset]:
     """Joinable-column value sets of a raw candidate (sampled).
 
-    ``pdf`` is the candidate's renamed frame (``_frame``). A column
+    ``pdf`` is the candidate's renamed frame (``renamed_frame``). A column
     qualifies as a join candidate if it has at least MIN_JOIN_EXTENT
     distinct values *or* is near-unique within its table — the absolute
     floor rejects categorical domains in big tables without disqualifying
@@ -84,7 +79,7 @@ def _edge(
             inter = len(va & vb)
             if not inter:
                 continue
-            w = inter / len(va | vb)
+            w = inter / (len(va) + len(vb) - inter)
             ext = min(len(va), len(vb))
             if w >= MIN_JOIN_JACCARD and (
                 best is None or (w, ext) > (best[2], best[3])
@@ -158,7 +153,7 @@ def expand(
     if not without or not with_key:
         return with_key
 
-    frames = {c.name: _frame(c, repo) for c in cands}
+    frames = {c.name: renamed_frame(c, repo) for c in cands}
     vsets = {c.name: _value_sets(c, frames[c.name]) for c in cands}
     by_name = {c.name: c for c in cands}
     adj: dict[str, list[tuple[str, float]]] = {}
@@ -213,6 +208,13 @@ def _join_pdfs(
     return merged
 
 
+def _first_rows(pdf: pd.DataFrame, key_cols: list[str]) -> dict[tuple, int]:
+    """Each key's first row in ``pdf``; null key parts are equal, as in
+    ``drop_duplicates`` and a pandas ``merge``."""
+    keys = list(zip(*(null_none(pdf[k]) for k in key_cols)))
+    return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+
+
 def _materialise_path(
     spark: SparkSession,
     start: Candidate,
@@ -228,7 +230,7 @@ def _materialise_path(
     right — carrying their attribute columns through the chain would count
     their (possibly erroneous) values twice (DESIGN.md §6).
 
-    ``frames`` holds each candidate's renamed pandas frame (``_frame``);
+    ``frames`` holds each candidate's renamed pandas frame (``renamed_frame``);
     ``source`` is the canonical source, or None to skip the pruning."""
     pdf = frames[start.name]
     mapping = dict(start.mapping)
@@ -254,21 +256,24 @@ def _materialise_path(
     # now-available key alignment (a keyless candidate's containment-only
     # mapping can be wrong; cheap to check once the chain has a key)
     if source is not None:
-        src = source.drop_duplicates(list(key_cols))
-        merged = pdf[keep].drop_duplicates(list(key_cols)).merge(
-            src, on=list(key_cols), how="inner", suffixes=("", "\x00s")
-        )
-        if len(merged):
+        src_first = _first_rows(source, key_cols)
+        pairs = [
+            (i, src_first[k])
+            for k, i in _first_rows(pdf, key_cols).items()
+            if k in src_first
+        ]
+        if pairs:
+            at, src_at = (np.array(p) for p in zip(*pairs))
             for c in list(keep):
-                if c in key_cols:
-                    continue
-                s_col = c + "\x00s" if c + "\x00s" in merged.columns else c
-                nonnull = merged[s_col].notna()
+                if c in key_cols or c not in source.columns:
+                    continue  # a column S lacks has nothing to contradict
+                s_vals = source[c].to_numpy(dtype=object)[src_at]
+                nonnull = pd.notna(s_vals)
                 denom = int(nonnull.sum())
                 if denom == 0:
                     continue
-                rate = float(((merged[c] == merged[s_col]) & nonnull).sum()) / denom
-                if rate < 0.05:
+                hits = (pdf[c].to_numpy(dtype=object)[at] == s_vals) & nonnull
+                if float(hits.sum()) / denom < 0.05:
                     keep.remove(c)
             if len(keep) <= len(key_cols):
                 return None

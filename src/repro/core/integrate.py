@@ -1,7 +1,8 @@
 """Table Integration (paper §V-B, Alg 2).
 
 Pipeline per source table:
-  1. ProjectSelect — π to S's columns, σ to S's key values;
+  1. ProjectSelect — π to S's columns, σ to S's key values (done by the
+     caller: the tables are the key slices matrix encoding read);
   2. InnerUnion   — union tables sharing a schema;
   3. LabelSourceNulls — S's nulls become unique labelled non-null values in
      both a working copy of S and any key-aligned table null at the same
@@ -89,18 +90,16 @@ def integrate(
     """Alg 2 — integrate originating tables into a reclaimed table.
 
     ``source`` is canonical (``canon_str``) and ``tables`` are all-string
-    pandas frames in integration order; tables without S's key columns are
-    skipped. Returns a frame with exactly S's columns, or None when no
-    table can be integrated.
+    pandas frames in integration order. Each table must already be
+    ProjectSelect'ed (``operators.project_select_pdf``, as
+    ``matrix.key_slice`` cuts it): only S's columns, and only rows whose
+    key is one of S's. Tables without S's key columns are skipped. Returns
+    a frame with exactly S's columns, or None when no table can be
+    integrated.
     """
     src = source.reset_index(drop=True)
     key_cols = list(key_cols)
-    pre = []
-    for t in tables:
-        try:
-            pre.append(ops.project_select_pdf(t, src, key_cols))
-        except ValueError:
-            continue
+    pre = [t for t in tables if all(k in t.columns for k in key_cols)]
     if not pre:
         return None
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -161,6 +162,13 @@ complement_pdf = _on_frame(complement_rows)
 minimal_form_pdf = _on_frame(minimal_form_rows)
 
 
+def null_none(col: pd.Series) -> np.ndarray:
+    """A column as an object array with None for every null (NaN, NaT, NA)."""
+    out = col.to_numpy(dtype=object, copy=True)
+    out[pd.isna(out)] = None
+    return out
+
+
 def project_select_pdf(
     pdf: pd.DataFrame, source: pd.DataFrame, key_cols: Sequence[str]
 ) -> pd.DataFrame:
@@ -174,11 +182,18 @@ def project_select_pdf(
     missing = [k for k in key_cols if k not in pdf.columns]
     if missing:
         raise ValueError(f"table lacks source key columns {missing}")
-    src_keys = source[list(key_cols)].dropna()
-    wanted = set(src_keys.itertuples(index=False, name=None))
-    mask = [k in wanted for k in zip(*(pdf[k] for k in key_cols))]
+    src_keys = [source[k].to_numpy(dtype=object) for k in key_cols]
+    full = np.logical_and.reduce([pd.notna(a) for a in src_keys])
+    wanted = set(zip(*(a[full] for a in src_keys)))
+    mask = np.fromiter(
+        (k in wanted for k in zip(*(pdf[k].to_numpy(dtype=object) for k in key_cols))),
+        dtype=bool,
+        count=len(pdf),
+    )
     keep = [c for c in pdf.columns if c in source.columns]
-    return pdf.loc[mask, keep].reset_index(drop=True)
+    rows = np.flatnonzero(mask)
+    cells = np.column_stack([pdf[c].to_numpy(dtype=object)[rows] for c in keep])
+    return pd.DataFrame(cells, columns=keep)
 
 
 def inner_union_pdfs(pdfs: Sequence[pd.DataFrame]) -> list[pd.DataFrame]:

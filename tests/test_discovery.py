@@ -242,11 +242,24 @@ class TestRowSet:
                 "b": [float("nan"), "1", None, None, float("nan")],
             }
         )
-        c = disc.Candidate(name="t", load=None, mapping={}, col_overlaps={}, pdf=pdf)
         want = frozenset(
             tuple(None if pd.isna(v) else v for v in r)
             for r in pdf[["a", "b"]].itertuples(index=False)
         )
-        assert disc._row_set(c, ["a", "b"]) == want
+        assert disc._row_set(pdf, ["a", "b"]) == want
         # the candidate's cache keeps its NaN
         assert pdf["a"].isna().sum() == 2
+
+
+class TestUncachedSubsumption:
+    """A candidate over ``PANDAS_CAP`` has no pandas cache; de-subsumption
+    loads its table and compares rows, so the cap changes no result."""
+
+    def test_capped_run_keeps_the_same_candidates(
+        self, spark, fig3_repo, fig3_source, candidates, monkeypatch
+    ):
+        monkeypatch.setattr(disc, "PANDAS_CAP", 2)
+        capped = disc.set_similarity(spark, fig3_repo, fig3_source, KEY, tau=TAU, k_per_col=10)
+        assert {c.name for c in capped if c.pdf is None} >= {"A", "C", "D"}
+        assert [c.name for c in capped] == [c.name for c in candidates]
+        assert set(c.name for c in capped) == {"A", "C", "D"}

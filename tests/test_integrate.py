@@ -1,8 +1,11 @@
 """Table Integration (Alg 2): labelling, minimal forms, the full loop."""
+from types import SimpleNamespace
+
 import pandas as pd
 import pytest
 
 from repro.core import integrate as integ
+from repro.core import matrix as mtx
 from repro.core import metrics_core as mc
 
 KEY = ["ID"]
@@ -82,10 +85,14 @@ class TestIntegrate:
         assert list(out.columns) == list(fig3_source.columns)
         assert out["Age"].isna().all()
 
-    def test_select_drops_foreign_keys(self, fig3_source, fig3_tables):
+    def test_select_drops_foreign_keys(self, spark, fig3_source, fig3_tables):
+        # integrate takes key slices: ProjectSelect cuts the foreign key
+        # while the slice is made, before integration
         a = fig3_tables["A"].copy()
         a.loc[len(a)] = ["99", "Stranger", "PhD"]
-        out = integ.integrate([a], fig3_source, KEY)
+        sl = mtx.key_slice(spark, SimpleNamespace(pdf=a), fig3_source, KEY)
+        assert "99" not in set(sl["ID"])
+        out = integ.integrate([sl], fig3_source, KEY)
         assert "99" not in set(out["ID"])
 
     def test_empty_input(self, fig3_source):

@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core import matrix as mtx
+from tests import matrix_reference as ref
 
 KEY = ["ID"]
 
@@ -12,11 +13,25 @@ def enc(source, aligned):
     return mtx.encode_matrix(source, aligned, KEY)
 
 
+def groups(m, source):
+    """The matrix as ``key tuple → list of rows``."""
+    return ref.to_dict(m, ref.source_keys(source, KEY))
+
+
+KEYS = [("0",), ("1",)]
+
+
+def mat(rows_by_key):
+    """A matrix over the keys "0" and "1" from ``key tuple → rows``."""
+    width = len(next(iter(rows_by_key.values()))[0])
+    return ref.to_matrix(rows_by_key, {k: i for i, k in enumerate(KEYS)}, width)
+
+
 class TestEncode:
     """Columns of fig3_source: ID, Name, Age, Gender, Education Level."""
 
     def test_table_a_codes(self, fig3_source, fig3_tables):
-        m = enc(fig3_source, fig3_tables["A"])
+        m = groups(enc(fig3_source, fig3_tables["A"]), fig3_source)
         # A lacks Age (→0 where S non-null); Gender: S null & A missing → 1
         assert m[("0",)][0].tolist() == [1, 1, 0, 1, 1]
         assert m[("1",)][0].tolist() == [1, 1, 0, 0, 0]  # Edu null, Gender S=Male
@@ -26,63 +41,64 @@ class TestEncode:
         aligned = pd.DataFrame(
             {"ID": ["1"], "Name": ["Brown"], "Gender": ["Female"]}
         )
-        m = enc(fig3_source, aligned)
+        m = groups(enc(fig3_source, aligned), fig3_source)
         # Gender contradicts (Male vs Female) → −1
         assert m[("1",)][0].tolist() == [1, 1, 0, -1, 0]
 
     def test_nonnull_on_source_null_is_minus_one(self, fig3_source):
         aligned = pd.DataFrame({"ID": ["0"], "Gender": ["Male"]})
-        m = enc(fig3_source, aligned)
+        m = groups(enc(fig3_source, aligned), fig3_source)
         assert m[("0",)][0][3] == -1
 
     def test_unaligned_rows_dropped(self, fig3_source):
         aligned = pd.DataFrame({"ID": ["99"], "Name": ["Nobody"]})
-        assert enc(fig3_source, aligned) == {}
+        assert len(enc(fig3_source, aligned)) == 0
 
     def test_duplicate_rows_deduped(self, fig3_source, fig3_tables):
         doubled = pd.concat([fig3_tables["A"]] * 2, ignore_index=True)
-        m = enc(fig3_source, doubled)
+        m = groups(enc(fig3_source, doubled), fig3_source)
+        assert len(m) == 3
         assert all(len(rows) == 1 for rows in m.values())
 
     def test_empty_aligned(self, fig3_source):
-        assert enc(fig3_source, pd.DataFrame(columns=["ID"])) == {}
+        assert len(enc(fig3_source, pd.DataFrame(columns=["ID"]))) == 0
 
 
 class TestCombine:
     def test_or_when_compatible(self):
-        m1 = {("0",): [np.array([1, 1, 0, 0], dtype=np.int8)]}
-        m2 = {("0",): [np.array([1, 0, 1, 0], dtype=np.int8)]}
-        out = mtx.combine(m1, m2)
+        m1 = mat({("0",): [np.array([1, 1, 0, 0], dtype=np.int8)]})
+        m2 = mat({("0",): [np.array([1, 0, 1, 0], dtype=np.int8)]})
+        out = ref.to_dict(mtx.combine(m1, m2), KEYS)
         assert out[("0",)][0].tolist() == [1, 1, 1, 0]
         assert len(out[("0",)]) == 1
 
     def test_conflict_keeps_both(self):
-        m1 = {("0",): [np.array([1, 1], dtype=np.int8)]}
-        m2 = {("0",): [np.array([1, -1], dtype=np.int8)]}
-        out = mtx.combine(m1, m2)
+        m1 = mat({("0",): [np.array([1, 1], dtype=np.int8)]})
+        m2 = mat({("0",): [np.array([1, -1], dtype=np.int8)]})
+        out = ref.to_dict(mtx.combine(m1, m2), KEYS)
         assert len(out[("0",)]) == 2
 
     def test_zero_vs_minus_one_merges_keeping_error(self):
         # 0 (null) and −1 (error) are not conflicting, and the real κ merge
         # keeps the erroneous value — so the combined code is −1
-        m1 = {("0",): [np.array([1, 0], dtype=np.int8)]}
-        m2 = {("0",): [np.array([1, -1], dtype=np.int8)]}
-        out = mtx.combine(m1, m2)
+        m1 = mat({("0",): [np.array([1, 0], dtype=np.int8)]})
+        m2 = mat({("0",): [np.array([1, -1], dtype=np.int8)]})
+        out = ref.to_dict(mtx.combine(m1, m2), KEYS)
         assert len(out[("0",)]) == 1
         assert out[("0",)][0].tolist() == [1, -1]
 
     def test_disjoint_keys_union(self):
-        m1 = {("0",): [np.array([1], dtype=np.int8)]}
-        m2 = {("1",): [np.array([1], dtype=np.int8)]}
-        out = mtx.combine(m1, m2)
+        m1 = mat({("0",): [np.array([1], dtype=np.int8)]})
+        m2 = mat({("1",): [np.array([1], dtype=np.int8)]})
+        out = ref.to_dict(mtx.combine(m1, m2), KEYS)
         assert set(out) == {("0",), ("1",)}
 
     def test_inputs_not_mutated(self):
-        r = np.array([1, 0], dtype=np.int8)
-        m1 = {("0",): [r]}
-        m2 = {("0",): [np.array([0, 1], dtype=np.int8)]}
+        m1 = mat({("0",): [np.array([1, 0], dtype=np.int8)]})
+        m2 = mat({("0",): [np.array([0, 1], dtype=np.int8)]})
         mtx.combine(m1, m2)
-        assert r.tolist() == [1, 0]
+        assert m1.codes.tolist() == [[1, 0]]
+        assert m2.codes.tolist() == [[0, 1]]
 
 
 class TestEvaluateSimilarity:
@@ -155,7 +171,7 @@ class TestMatrixForCandidate(object):
         from repro.lake.repository import to_spark
 
         df = to_spark(spark, fig3_tables["A"])
-        m = mtx.matrix_for_candidate(spark, df, fig3_source, KEY)
+        m = groups(mtx.matrix_for_candidate(spark, df, fig3_source, KEY), fig3_source)
         assert m[("0",)][0].tolist() == [1, 1, 0, 1, 1]
 
     def test_slice_from_cache_matches_spark(self, spark, fig3_source, fig3_tables):
