@@ -193,19 +193,24 @@ def _join_pdfs(
     lp: pd.DataFrame, rp: pd.DataFrame, ca: str, cb: str
 ) -> pd.DataFrame:
     """Inner equi-join on one column pair, as SQL joins: a null join value
-    matches nothing (pandas ``merge`` would pair null with null, so null
-    join values are dropped first), and a column both sides share is
-    coalesced, left first."""
-    shared = [c for c in lp.columns if c in set(rp.columns)]
-    merged = lp[lp[ca].notna()].merge(
-        rp[rp[cb].notna()], left_on=ca, right_on=cb, how="inner", suffixes=("", "\x00r")
+    matches nothing (pandas ``merge`` would pair null with null), and a
+    column both sides share is coalesced, left first.
+
+    Only the two join columns go through ``merge``, which gives the
+    matching row positions in ``merge``'s row order; every output column
+    is then taken once."""
+    lk = lp[ca].to_numpy(dtype=object)
+    rk = rp[cb].to_numpy(dtype=object)
+    li, ri = np.flatnonzero(pd.notna(lk)), np.flatnonzero(pd.notna(rk))
+    at = pd.DataFrame({"v": lk[li], "i": li}).merge(
+        pd.DataFrame({"v": rk[ri], "j": ri}), on="v"
     )
-    for c in shared:
-        rc = f"{c}\x00r"
-        if rc in merged.columns:
-            merged[c] = merged[c].combine_first(merged[rc])
-            merged = merged.drop(columns=[rc])
-    return merged
+    i, j = at["i"].to_numpy(), at["j"].to_numpy()
+    cols = {c: lp[c].to_numpy()[i] for c in lp.columns}
+    for c in rp.columns:
+        r = rp[c].to_numpy()[j]
+        cols[c] = np.where(pd.isna(cols[c]), r, cols[c]) if c in cols else r
+    return pd.DataFrame(cols)
 
 
 def _first_rows(pdf: pd.DataFrame, key_cols: list[str]) -> dict[tuple, int]:

@@ -1,24 +1,35 @@
-"""Spark-facing metric evaluation.
+"""Metric evaluation of a reclaimed Spark table.
 
 Source tables are small (≤ ~1K rows, paper §VI-A); reclaimed tables can be
-large (ALITE outputs are 200–300× the source, Fig 8b). So the reclaimed
-table stays in Spark and ``evaluate`` runs one query over it: group it
-into distinct tuples with their multiplicity, observe the number of
-groups and rows on the same action, and collect only the groups whose key
-is a source key (null-safe). Every score is then computed on the driver
-from those |S|-bounded tuples by ``metrics_core``:
+large (ALITE outputs are 200–300× the source, Fig 8b). ``evaluate`` first
+cuts the reclaimed table to its distinct tuples with their multiplicity,
+keeping only the groups whose key is a source key (null-safe), and counts
+the groups and rows of the whole table. It takes one of two paths, chosen
+by ``DataFrame.isLocal()``:
 
-* recall/precision: |S∩Ŝ| from the collected tuples (a tuple outside the
-  source keys cannot be in S), |Ŝ| from the observed group count;
-* EIS, Inst-Div, D_KL: the collected tuples with a non-null key, each
-  repeated by its multiplicity (D_KL's Q(x|k) counts duplicates).
+* a local plan (a ``LocalRelation``, such as Gen-T's |S|-bounded output
+  built by ``to_spark``) holds its rows in the driver already: they are
+  collected without a Spark job and grouped and cut in Python;
+* any other plan (the baselines' outputs, Ver's joins) grows with the lake
+  and is cut by one Spark query, the two counts observed on the same
+  action.
+
+Every score is then computed on the driver from those |S|-bounded tuples
+by ``metrics_core``:
+
+* recall/precision: |S∩Ŝ| from the cut tuples (a tuple outside the source
+  keys cannot be in S), |Ŝ| from the group count;
+* EIS, Inst-Div, D_KL: the cut tuples with a non-null key, each repeated
+  by its multiplicity (D_KL's Q(x|k) counts duplicates).
 """
 from __future__ import annotations
 
 import functools
 import operator
+from collections import Counter
 from typing import Sequence
 
+import numpy as np
 import pandas as pd
 from py4j.protocol import Py4JJavaError
 from pyspark.sql import DataFrame, Observation, SparkSession
@@ -34,6 +45,13 @@ from repro.lake.repository import canon_str, to_spark
 MAX_ALIGNED_COLLECT = 500_000
 
 
+def _mult_col(cols: Sequence[str]) -> str:
+    mult = "n"
+    while mult in cols:
+        mult += "_"
+    return mult
+
+
 def _key_cut(
     spark: SparkSession, reclaimed: DataFrame, source: pd.DataFrame, key_cols: Sequence[str]
 ) -> tuple[pd.DataFrame, str, int, int]:
@@ -47,9 +65,7 @@ def _key_cut(
     which an empty key side would make it do.
     """
     cols = list(source.columns)
-    mult = "n"
-    while mult in cols:
-        mult += "_"
+    mult = _mult_col(cols)
     obs = Observation()
     groups = (
         add_missing_null_columns(as_strings(reclaimed), cols)
@@ -67,6 +83,29 @@ def _key_cut(
     return cut, mult, seen["groups"], seen["rows"] or 0
 
 
+def _key_cut_local(
+    reclaimed: DataFrame, source: pd.DataFrame, key_cols: Sequence[str]
+) -> tuple[pd.DataFrame, str, int, int]:
+    """``_key_cut`` for a local plan, without a Spark job: the rows are
+    collected from the driver and grouped in Python, where a null equals a
+    null, as in ``groupBy`` and ``eqNullSafe``."""
+    cols = list(source.columns)
+    mult = _mult_col(cols)
+    strings = as_strings(reclaimed)
+    at = {c: i for i, c in enumerate(strings.columns)}
+    rows = strings.collect()
+    groups = Counter(tuple(r[at[c]] if c in at else None for c in cols) for r in rows)
+    src_keys = canon_str(source[list(key_cols)])
+    wanted = set(zip(*(src_keys[k] for k in key_cols)))
+    kidx = [cols.index(k) for k in key_cols]
+    cut = [
+        (t, n) for t, n in groups.items() if tuple(t[i] for i in kidx) in wanted
+    ][: MAX_ALIGNED_COLLECT + 1]
+    out = pd.DataFrame([t for t, _ in cut], columns=cols, dtype=object)
+    out[mult] = np.array([n for _, n in cut], dtype=np.int64)
+    return out, mult, len(groups), len(rows)
+
+
 def evaluate(
     spark: SparkSession,
     reclaimed: DataFrame | None,
@@ -80,16 +119,23 @@ def evaluate(
     Besides the scores, ``rows`` is the reclaimed table's row count and
     ``capped`` says whether more than ``MAX_ALIGNED_COLLECT`` distinct
     key-aligned tuples were there (only the first that many are scored).
+    A local ``reclaimed`` (``isLocal()``) is scored without a Spark job;
+    any other plan costs one Spark query, or a ``count`` when the source
+    is empty.
     """
     source = source.reset_index(drop=True)
     cols = list(source.columns)
     aligned = pd.DataFrame(columns=cols)
     rec = pre = 0.0
     rows, capped = 0, False
-    if reclaimed is not None and source.empty:
+    cut = None
+    if reclaimed is not None and reclaimed.isLocal():
+        cut, mult, n_rec, rows = _key_cut_local(reclaimed, source, key_cols)
+    elif reclaimed is not None and source.empty:
         rows = reclaimed.count()  # nothing can align with an empty source
     elif reclaimed is not None:
         cut, mult, n_rec, rows = _key_cut(spark, reclaimed, source, key_cols)
+    if cut is not None:
         capped = len(cut) > MAX_ALIGNED_COLLECT
         cut = cut.iloc[:MAX_ALIGNED_COLLECT]
         n_src, _, n_inter = mc.distinct_overlap(canon_str(source), cut[cols])

@@ -23,12 +23,21 @@ import pandas as pd
 KL_EPS = 1e-3  # floor for Q(x|k)·(1−Q(¬x|k)) — see DESIGN.md §4.7
 
 
+def _norm_col(col: pd.Series) -> np.ndarray:
+    """A column as an object array: None for every null, ``str`` of every
+    other value."""
+    out = col.to_numpy(dtype=object, copy=True)
+    null = pd.isna(out)
+    out[null] = None
+    if pd.api.types.infer_dtype(out, skipna=True) not in ("string", "empty"):
+        out[~null] = [str(v) for v in out[~null]]
+    return out
+
+
 def _norm_rows(pdf: pd.DataFrame, cols: Sequence[str]) -> list[tuple]:
-    sub = pdf[list(cols)]
-    return [
-        tuple(None if pd.isna(v) else str(v) for v in r)
-        for r in sub.itertuples(index=False)
-    ]
+    """The rows of ``pdf[cols]`` as tuples of ``str`` or None, built column
+    by column."""
+    return list(zip(*(_norm_col(pdf[c]) for c in cols)))
 
 
 def _key_of(row: tuple, idx: Sequence[int]) -> tuple:

@@ -31,7 +31,10 @@ MAX_PAIRWISE_GROUP = 2000
 
 
 def as_strings(df: DataFrame) -> DataFrame:
-    """Cast every column to string (idempotent on canonical lake tables)."""
+    """Cast every column to string; an all-string frame (every canonical
+    lake table) is returned as it is."""
+    if all(t == "string" for _, t in df.dtypes):
+        return df
     return df.select([F.col(c).cast("string").alias(c) for c in df.columns])
 
 

@@ -1,4 +1,5 @@
 """Expand (Alg 5): keyless candidates joined through the join graph."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -194,3 +195,42 @@ class TestJoinNulls:
         assert sorted(mtx.key_slice(spark, path, source, KEY).values.tolist()) == [
             ["2", "Wang", "Female"], ["3", "Li", "Male"]
         ]
+
+
+def _join_reference(lp, rp, ca, cb):
+    """The ``merge``-then-coalesce form ``_join_pdfs`` replaced."""
+    shared = [c for c in lp.columns if c in set(rp.columns)]
+    merged = lp[lp[ca].notna()].merge(
+        rp[rp[cb].notna()], left_on=ca, right_on=cb, how="inner", suffixes=("", "\x00r")
+    )
+    for c in shared:
+        rc = f"{c}\x00r"
+        if rc in merged.columns:
+            merged[c] = merged[c].combine_first(merged[rc])
+            merged = merged.drop(columns=[rc])
+    return merged
+
+
+class TestJoinPdfs:
+    """``_join_pdfs`` equals ``merge`` with coalesced shared columns: the
+    same columns, dtypes, rows and row order."""
+
+    @staticmethod
+    def _frame(rng, cols):
+        n = int(rng.integers(0, 12))
+        pool = np.array([None, "a", "b", "c", "d"], dtype=object)
+        return pd.DataFrame({c: pool[rng.integers(len(pool), size=n)] for c in cols})
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equal_to_merge(self, seed):
+        rng = np.random.default_rng(seed)
+        names = np.array(["k", "x", "y", "z", "w"])
+        lcols = list(rng.choice(names, size=int(rng.integers(1, 5)), replace=False))
+        rcols = list(rng.choice(names, size=int(rng.integers(1, 5)), replace=False))
+        lp, rp = self._frame(rng, lcols), self._frame(rng, rcols)
+        ca, cb = str(rng.choice(lcols)), str(rng.choice(rcols))
+        got, want = exp._join_pdfs(lp, rp, ca, cb), _join_reference(lp, rp, ca, cb)
+        assert list(got.columns) == list(want.columns)
+        assert list(got.dtypes) == list(want.dtypes)
+        assert got.index.equals(want.index)
+        assert got.equals(want)

@@ -1,8 +1,10 @@
 """Metric definitions, locked to the paper's worked Example 6 numbers."""
 import math
 
+import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import metrics as met
@@ -217,9 +219,36 @@ def _reference(spark, df, source, key_cols) -> dict:
     }
 
 
+def _on_path(spark, df, path: str):
+    """``df``'s rows as a local plan (``path`` "local", scored on the
+    driver) or as a plan Spark must run ("spark", scored by one query)."""
+    if path == "spark":
+        out = df.repartition(1)
+    elif df.isLocal():
+        out = df
+    elif df.isEmpty():  # pyspark builds no LocalRelation for zero rows
+        jvm = spark._jvm
+        schema = jvm.org.apache.spark.sql.types.DataType.fromJson(df.schema.json())
+        out = DataFrame(
+            spark._jsparkSession.createDataFrame(jvm.java.util.ArrayList(), schema), spark
+        )
+    else:
+        out = spark.createDataFrame(df.toPandas(), df.schema)
+    assert out.isLocal() is (path == "local")
+    return out
+
+
+CASES = [
+    "duplicates", "null_key_part", "missing_column", "extra_column", "typed",
+    "empty", "empty_source", "big_mostly_unaligned", "all_null_column",
+    "duplicate_source_keys",
+]
+
+
 class TestEvaluate:
-    """``metrics.evaluate`` (one Spark query) against ``metrics_core`` on the
-    fully collected reclaimed table."""
+    """``metrics.evaluate`` on both of its paths (a local plan on the
+    driver, any other plan in one Spark query) against ``metrics_core`` on
+    the fully collected reclaimed table."""
 
     @staticmethod
     def _cases(spark, fig3_source, fig3_s1hat, fig3_s2hat):
@@ -253,6 +282,9 @@ class TestEvaluate:
             F.lit(None).cast("string").alias("Gender"),
             F.lit("Bachelors").alias("Education Level"),
         )
+        dup_keys = pd.concat(
+            [fig3_source, fig3_source.iloc[[0]].assign(Name="Smyth")], ignore_index=True
+        )
         return {
             "duplicates": (to_spark(spark, dups), fig3_source, KEY),
             "null_key_part": (to_spark(spark, null_rec), null_src, ["k1", "k2"]),
@@ -266,22 +298,32 @@ class TestEvaluate:
             "empty": (to_spark(spark, fig3_s1hat.iloc[0:0]), fig3_source, KEY),
             "empty_source": (to_spark(spark, fig3_s1hat), fig3_source.iloc[0:0], KEY),
             "big_mostly_unaligned": (big, fig3_source, KEY),
+            "all_null_column": (
+                to_spark(spark, fig3_s2hat.assign(Gender=None)),
+                fig3_source.assign(Gender=None),
+                KEY,
+            ),
+            "duplicate_source_keys": (to_spark(spark, fig3_s1hat), dup_keys, KEY),
         }
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "duplicates", "null_key_part", "missing_column", "extra_column",
-            "typed", "empty", "empty_source", "big_mostly_unaligned",
-        ],
-    )
-    def test_matches_full_collect(
-        self, spark, fig3_source, fig3_s1hat, fig3_s2hat, case
-    ):
+    def _check(self, spark, fig3_source, fig3_s1hat, fig3_s2hat, case, path):
         df, source, key_cols = self._cases(spark, fig3_source, fig3_s1hat, fig3_s2hat)[case]
+        df = _on_path(spark, df, path)
         assert met.evaluate(spark, df, source, key_cols) == _reference(
             spark, df, source, key_cols
         )
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_full_collect(
+        self, spark, fig3_source, fig3_s1hat, fig3_s2hat, case
+    ):
+        self._check(spark, fig3_source, fig3_s1hat, fig3_s2hat, case, "local")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_full_collect_spark_path(
+        self, spark, fig3_source, fig3_s1hat, fig3_s2hat, case
+    ):
+        self._check(spark, fig3_source, fig3_s1hat, fig3_s2hat, case, "spark")
 
     def test_duplicates_reach_d_kl(self, spark, fig3_source, fig3_s2hat):
         dups = pd.concat([fig3_s2hat, fig3_s2hat.iloc[[1, 1]]], ignore_index=True)
@@ -303,19 +345,83 @@ class TestEvaluate:
             "capped": False,
         }
 
-    @pytest.mark.parametrize("cap, capped", [(2, True), (3, False)])
-    def test_cap_reported(self, spark, fig3_source, monkeypatch, cap, capped):
+    @staticmethod
+    def _capped(spark, fig3_source, monkeypatch, cap, path):
         # three distinct tuples on source keys, one of them twice, and a stray key
         rec = pd.concat([fig3_source, fig3_source.iloc[[0]]], ignore_index=True)
         rec.loc[len(rec)] = ["9", "Zed", "99", None, "PhD"]
         monkeypatch.setattr(met, "MAX_ALIGNED_COLLECT", cap)
-        out = met.evaluate(spark, to_spark(spark, rec), fig3_source, KEY)
+        df = _on_path(spark, to_spark(spark, rec), path)
+        return met.evaluate(spark, df, fig3_source, KEY), len(rec)
+
+    @pytest.mark.parametrize("cap, capped", [(2, True), (3, False)])
+    def test_cap_reported(self, spark, fig3_source, monkeypatch, cap, capped):
+        out, n = self._capped(spark, fig3_source, monkeypatch, cap, "local")
         assert out["capped"] is capped
-        assert out["rows"] == len(rec)
+        assert out["rows"] == n
+
+    @pytest.mark.parametrize("cap, capped", [(2, True), (3, False)])
+    def test_cap_reported_spark_path(self, spark, fig3_source, monkeypatch, cap, capped):
+        out, n = self._capped(spark, fig3_source, monkeypatch, cap, "spark")
+        assert out["capped"] is capped
+        assert out["rows"] == n
 
     def test_spark_jobs(self, spark, fig3_source, fig3_s2hat):
-        df = to_spark(spark, fig3_s2hat)
-        _, jobs = jobs_started(spark, lambda: met.evaluate(spark, df, fig3_source, KEY))
-        assert len(jobs) <= 4
+        # a local plan, typed (cast on the driver) or not, starts no job
+        typed = spark.createDataFrame(pd.DataFrame({"ID": [0, 1, 2], "Age": [27, 24, 32]}))
+        for df in (to_spark(spark, fig3_s2hat), typed):
+            assert df.isLocal()
+            _, jobs = jobs_started(spark, lambda: met.evaluate(spark, df, fig3_source, KEY))
+            assert jobs == []
         _, jobs = jobs_started(spark, lambda: met.evaluate(spark, None, fig3_source, KEY))
         assert jobs == []
+
+    def test_spark_jobs_spark_path(self, spark, fig3_source, fig3_s2hat):
+        df = to_spark(spark, fig3_s2hat).repartition(1)
+        _, jobs = jobs_started(spark, lambda: met.evaluate(spark, df, fig3_source, KEY))
+        assert len(jobs) <= 4
+
+
+def _norm_rows_reference(pdf, cols):
+    """The row-by-row form ``metrics_core._norm_rows`` replaced."""
+    return [
+        tuple(None if pd.isna(v) else str(v) for v in r)
+        for r in pdf[list(cols)].itertuples(index=False)
+    ]
+
+
+class TestNormRows:
+    """``_norm_rows`` builds its rows column by column; it must equal the
+    row-by-row form on any mix of nulls and value types."""
+
+    @staticmethod
+    def _frame(rng, n):
+        pool = [None, np.nan, pd.NaT, pd.NA, 0, 7, -3, 1.5, 2.0, "", "a", "7", "None"]
+        mixed = [pool[i] for i in rng.integers(len(pool), size=n)]
+        floats = np.where(rng.random(n) < 0.3, np.nan, rng.normal(size=n).round(2))
+        days = pd.Series(pd.to_datetime("2024-01-01") + pd.to_timedelta(
+            rng.integers(0, 400, size=n), unit="D"
+        ))
+        days[rng.random(n) < 0.3] = pd.NaT
+        strs = [None if rng.random() < 0.3 else f"s{rng.integers(5)}" for _ in range(n)]
+        return pd.DataFrame(
+            {
+                "mixed": pd.Series(mixed, dtype=object),
+                "float": floats,
+                "int": rng.integers(-5, 5, size=n),
+                "nullable_int": pd.array(
+                    [None if rng.random() < 0.3 else int(v) for v in rng.integers(9, size=n)],
+                    dtype="Int64",
+                ),
+                "day": days,
+                "str": pd.Series(strs, dtype=object),
+                "nan_only": np.full(n, np.nan),
+            }
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equal_to_row_by_row(self, seed):
+        rng = np.random.default_rng(seed)
+        pdf = self._frame(rng, int(rng.integers(0, 30)))
+        cols = list(rng.permutation(pdf.columns))[: int(rng.integers(1, len(pdf.columns) + 1))]
+        assert mc._norm_rows(pdf, cols) == _norm_rows_reference(pdf, cols)

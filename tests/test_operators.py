@@ -339,6 +339,18 @@ class TestSparkPairwise:
         assert out.count() == 2
 
 
+class TestAsStrings:
+    def test_all_string_frame_returned_as_is(self, spark):
+        t = spark.createDataFrame(pd.DataFrame({"a": ["x", None], "b": ["1", "2"]}))
+        assert ops.as_strings(t) is t
+
+    def test_typed_frame_cast(self, spark):
+        t = spark.createDataFrame(pd.DataFrame({"a": ["x", "y"], "n": [1, 2], "f": [1.5, None]}))
+        out = ops.as_strings(t)
+        assert out.dtypes == [("a", "string"), ("n", "string"), ("f", "string")]
+        assert [tuple(r) for r in out.collect()] == [("x", "1", "1.5"), ("y", "2", None)]
+
+
 class TestAddMissingNullColumns:
     def test_pads_and_orders(self, spark):
         t = spark.createDataFrame(pd.DataFrame({"b": ["x"], "a": ["y"]}))

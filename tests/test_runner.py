@@ -4,7 +4,9 @@ import math
 import pandas as pd
 import pytest
 
+from repro.core import discovery as disc
 from repro.harness import runner
+from tests.conftest import jobs_started
 
 KEY = ["ID"]
 
@@ -36,6 +38,21 @@ class TestRunSource:
 
     def test_no_error_or_cap(self, cells):
         assert all(c.error is None and not c.capped for c in cells)
+
+    def test_gen_t_cell_starts_only_discoverys_job(self, spark, fig3_repo, fig3_source):
+        # Gen-T and the scoring of its driver-resident table start none
+        _, disc_jobs = jobs_started(
+            spark, lambda: disc.set_similarity(spark, fig3_repo, fig3_source, KEY, tau=0.3)
+        )
+        out, jobs = jobs_started(
+            spark,
+            lambda: runner.run_source(
+                spark, fig3_repo, "fig3", fig3_source, KEY, ["gen_t"], tau=0.3
+            ),
+        )
+        assert out[0].perfect
+        assert len(disc_jobs) == 1
+        assert len(jobs) == 1
 
     def test_raising_method_records_error(self, spark, fig3_repo, fig3_source, monkeypatch):
         def boom(*args, **kwargs):
