@@ -10,7 +10,8 @@ Full FD complementation compares every tuple pair that shares a non-null
 value. We approximate ALITE's algorithm with *value-blocked* κ passes: for
 each column in turn, tuples are grouped by their value in that column
 (a Spark shuffle) and complemented within the group, repeated until a pass
-changes nothing or the budget expires. Degenerate blocks larger than
+changes nothing or the budget expires; a pass still running at the
+deadline is cancelled. Degenerate blocks larger than
 ``operators.MAX_PAIRWISE_GROUP`` are passed through unchanged; the paper's
 analogue of both caps is ALITE's wall-clock timeout (DESIGN.md §6).
 
@@ -19,10 +20,15 @@ key values (when a table has the key), like Gen-T's preprocessing.
 """
 from __future__ import annotations
 
+import contextlib
+import threading
 import time
-from typing import Sequence
+import uuid
+from typing import Iterator, Sequence
 
 import pandas as pd
+from py4j.protocol import Py4JJavaError
+from pyspark import SparkContext
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -63,23 +69,59 @@ def _blocked_complement_pass(df: DataFrame, block_col: str) -> DataFrame:
     return merged.unionByName(rest)
 
 
+@contextlib.contextmanager
+def _cancelled_at(sc: SparkContext, deadline: float | None) -> Iterator[threading.Event]:
+    """Tag the Spark jobs this thread starts; a timer cancels them at
+    ``deadline``. Yields an event that is set once the timer has fired."""
+    fired = threading.Event()
+    if deadline is None:
+        yield fired
+        return
+    tag = f"alite-deadline-{uuid.uuid4().hex}"
+
+    def cancel() -> None:
+        fired.set()
+        sc.cancelJobsWithTag(tag)
+
+    interrupt = sc.getLocalProperty("spark.job.interruptOnCancel")
+    timer = threading.Timer(max(0.0, deadline - time.monotonic()), cancel)
+    sc.addJobTag(tag)
+    sc.setInterruptOnCancel(True)  # stop the running tasks, not just the job
+    timer.start()
+    try:
+        yield fired
+    finally:
+        timer.cancel()
+        sc.removeJobTag(tag)
+        sc.setLocalProperty("spark.job.interruptOnCancel", interrupt)
+
+
 def full_disjunction(
     df: DataFrame,
     *,
     block_cols: Sequence[str],
     deadline: float | None = None,
 ) -> DataFrame | None:
-    """Iterated blocked-κ + β. Returns None on budget expiry (timeout)."""
-    current = df.localCheckpoint(eager=True)
-    for _ in range(MAX_PASSES):
-        before = current.count()
-        for c in block_cols:
-            if deadline is not None and time.monotonic() > deadline:
+    """Iterated blocked-κ + β. Returns None on budget expiry (timeout).
+
+    The passes' Spark jobs are cancelled at ``deadline``, so one pass cannot
+    run past the budget; the final sweep is returned unexecuted."""
+    with _cancelled_at(df.sparkSession.sparkContext, deadline) as expired:
+        try:
+            current = df.localCheckpoint(eager=True)
+            for _ in range(MAX_PASSES):
+                before = current.count()
+                for c in block_cols:
+                    if deadline is not None and time.monotonic() > deadline:
+                        return None
+                    current = _blocked_complement_pass(current, c).localCheckpoint(eager=True)
+                after = current.count()
+                if after == before:
+                    break
+        except Py4JJavaError:  # a cancelled job fails its action
+            if expired.is_set():
                 return None
-            current = _blocked_complement_pass(current, c).localCheckpoint(eager=True)
-        after = current.count()
-        if after == before:
-            break
+            raise
     # final subsumption sweep, blocked on the first column
     if deadline is not None and time.monotonic() > deadline:
         return None

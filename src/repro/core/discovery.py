@@ -1,14 +1,17 @@
 """Candidate table retrieval — Set Similarity (Alg 3) + Diversify (Alg 4).
 
 The part that grows with the lake is one filtered scan: the repository's
-``(table, col, value)`` cells dataset, kept to the rows whose value is one
-of the source's distinct values, collected flat in one Spark job. It is
-the only Spark query discovery runs: column extents come from the
-manifest, and lake reads carry the manifest's schema. Everything after
-that is bounded by the source's values and runs on the driver: the hits
-are matched to their source columns and counted per
-``(table, col, src_col)``, then diversified, ranked, verified,
-de-subsumed and renamed.
+``(table, col, value)`` cells dataset (one relation per repository and
+session), kept to the rows whose value is one of the source's distinct
+values, collected flat in one Spark job. It is the only Spark query
+discovery runs: column extents come from the manifest, and lake reads
+carry the manifest's schema. Everything after that is bounded by the
+source's values and runs on the driver in plain loops: the hits are matched
+to their source columns through one dict from value to source columns and
+counted per ``(table, col, src_col)``, then diversified, ranked, verified,
+de-subsumed and renamed. A lake table is read only to align a key option
+or for a kept candidate's pandas cache; a candidate its options settle
+costs no read.
 
 Two refinements beyond raw set containment (both deterministic, both in
 the spirit of Alg 3's "verify overlap within aligned tuples" step; see
@@ -17,8 +20,9 @@ DESIGN.md §6):
 * **Key-mapping disambiguation by pair match.** Dense integer domains make
   several candidate columns tie at containment 1.0 with the source key
   (o_orderkey ⊆ o_custkey ⊆ …). For every tied option we align the
-  candidate on that option and measure the *cell match rate* of the mapped
-  non-key columns (the fraction of aligned source keys whose values
+  candidate on that option (each source key's first row against the
+  table's first row on that key) and measure the *cell match rate* of the
+  mapped non-key columns (the fraction of aligned source keys whose values
   agree). The best option wins; if even the best alignment matches almost
   nothing, the key mapping is rejected and the table is treated as
   keyless — Expand then joins it through a proper key-bearing candidate.
@@ -34,15 +38,16 @@ tables — Example 9's case — are penalised identically.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.operators import null_none
+from repro.core.operators import first_rows, null_none
 from repro.lake.repository import TableRepository, canon_str
 
 UNMAPPED_SEP = "__u__"  # unmapped columns keep "{table}__u__{col}" names
@@ -113,60 +118,62 @@ def coarse_retrieve(
     return [r["table"] for r in hits.collect()]
 
 
+class _Hit(NamedTuple):
+    """One (lake column, source column) pair sharing at least one value."""
+
+    table: str
+    col: str
+    src_col: str
+    overlap: float  # containment: shared / the source column's distinct values
+    jac: float  # shared / |union of the two distinct value sets|
+    vals: frozenset  # the shared values
+
+
 def _column_containments(
     spark: SparkSession,
     repo: TableRepository,
     src: pd.DataFrame,
     restrict_to: list[str] | None,
-) -> pd.DataFrame:
-    """(table, col, src_col, overlap, matched value set) from one Spark job.
+) -> list[_Hit]:
+    """Every (table, col, src_col) sharing a value, from one Spark job,
+    sorted by (src_col, -overlap, table, col).
 
     ``src`` is the canonical source. The cells holding one of its values
-    are collected flat as ``(table, col, value)``; the rest is pandas.
-    Cells are distinct per (table, col, value) and the melted source per
-    (src_col, value), so each merged hit is one distinct shared value: a
-    plain count and set per (table, col, src_col) suffice.
+    are collected flat as ``(table, col, value)``; the rest is plain Python
+    over one dict from value to the source columns holding it. Cells are
+    distinct per (table, col, value), so each hit adds one distinct shared
+    value to each of its source columns.
     """
     pred = _value_filter(src)
-    hits = (
-        repo.cells(spark).where(pred).toPandas()
-        if pred is not None
-        else pd.DataFrame(columns=["table", "col", "value"])
-    )
-    if restrict_to is not None:
-        # the counts are per table, so restricting the hits is exact; in
-        # Spark, an ``isin`` of ~1.5K table names costs more driver time than
-        # the whole query
-        hits = hits[hits["table"].isin(list(restrict_to))]
-    melted = pd.DataFrame(
-        {
-            "src_col": np.repeat(src.columns.to_numpy(dtype=object), len(src)),
-            "value": src.to_numpy(dtype=object).ravel(order="F"),
-        }
-    ).dropna().drop_duplicates()
-    pdf = (
-        hits.merge(melted, on="value")
-        .groupby(["table", "col", "src_col"])["value"]
-        .agg(n_shared="size", vals=frozenset)
-        .reset_index()
-    )
-    if len(pdf):
-        # full column extents, for the Jaccard-style specificity signal:
-        # a dense id column "contains" every small-int source column, but
-        # its huge extent gives it a near-zero Jaccard
-        pdf["extent"] = [repo.extent(t, c) for t, c in zip(pdf["table"], pdf["col"])]
-        size = pdf["src_col"].map(melted["src_col"].value_counts())
-        pdf["overlap"] = pdf["n_shared"] / size
-        pdf["jac"] = pdf["n_shared"] / (size + pdf["extent"] - pdf["n_shared"]).clip(lower=1)
-        pdf = pdf.sort_values(
-            ["src_col", "overlap", "table", "col"],
-            ascending=[True, False, True, True],
-        ).reset_index(drop=True)
-    else:
-        pdf["overlap"] = pd.Series(dtype=float)
-        pdf["jac"] = pd.Series(dtype=float)
-        pdf["extent"] = pd.Series(dtype=int)
-    return pdf
+    if pred is None:
+        return []
+    hits = repo.cells(spark).where(pred).toPandas()
+    # the counts are per table, so restricting the hits is exact; in Spark,
+    # an ``isin`` of ~1.5K table names costs more driver time than the query
+    keep = None if restrict_to is None else set(restrict_to)
+    src_cols_of: dict[str, list[str]] = {}
+    size: dict[str, int] = {}
+    for s in src.columns:
+        distinct = {v for v in src[s] if v is not None}
+        size[s] = len(distinct)
+        for v in distinct:
+            src_cols_of.setdefault(v, []).append(s)
+    shared: dict[tuple[str, str, str], list[str]] = {}
+    for t, c, v in zip(hits["table"].tolist(), hits["col"].tolist(), hits["value"].tolist()):
+        if keep is not None and t not in keep:
+            continue
+        for s in src_cols_of.get(v, ()):
+            shared.setdefault((t, c, s), []).append(v)
+    out = []
+    for (t, c, s), vals in shared.items():
+        # the full column extent gives the Jaccard-style specificity signal:
+        # a dense id column "contains" every small-int source column, but its
+        # huge extent gives it a near-zero Jaccard
+        n = len(vals)
+        union = max(1, size[s] + repo.extent(t, c) - n)
+        out.append(_Hit(t, c, s, n / size[s], n / union, frozenset(vals)))
+    out.sort(key=lambda h: (h.src_col, -h.overlap, h.table, h.col))
+    return out
 
 
 def diversify_candidates(ranked: list[dict]) -> list[dict]:
@@ -189,18 +196,19 @@ def diversify_candidates(ranked: list[dict]) -> list[dict]:
 
 
 MIN_COL_MATCH = 0.1  # min per-column cell-match rate to keep a mapping
-_SRC_SUFFIX = "\x00src"
 
 
 def _refine_mapping(
-    tbl: pd.DataFrame,
+    load: Callable[[], pd.DataFrame],
     options: dict[str, list[tuple[str, float, frozenset, float]]],
     src: pd.DataFrame,
     key_cols: list[str],
 ) -> dict[str, str] | None:
     """Pick the best column mapping for one candidate (see module doc).
 
-    ``src`` is the canonical source (``canon_str``).
+    ``load`` returns the candidate's lake table; it is called only when a
+    key option is aligned, so a candidate settled from its options alone
+    costs no read. ``src`` is the canonical source (``canon_str``).
 
     ``options[src_col]`` lists (lake_col, containment, matched_vals,
     jaccard) by containment desc. Key mappings are scored by aligning the
@@ -208,21 +216,18 @@ def _refine_mapping(
     match rates against the source — every non-key option is tried and the
     best-matching one wins its source column (this is Alg 3's
     within-aligned-tuples verification, strengthened to positional
-    matching; DESIGN.md §6). Keyless candidates fall back to a
-    Jaccard-greedy assignment (containment alone is blind to a dense id
-    column that "contains" every small-int source column).
+    matching; DESIGN.md §6). An option aligns each source key's first row
+    with the table's first row on the same key, null key parts equal (the
+    inner ``merge`` of both sides' ``drop_duplicates``). Keyless candidates
+    fall back to a Jaccard-greedy assignment (containment alone is blind to
+    a dense id column that "contains" every small-int source column).
     Returns {src_col: lake_col} or None to discard the candidate.
     """
     nk_src = [s for s in options if s not in key_cols]
 
-    def jac_mapping(exclude: set[str] = frozenset()) -> dict[str, str]:
+    def jac_mapping() -> dict[str, str]:
         triples = sorted(
-            (
-                (s, col, jac)
-                for s in nk_src
-                for col, _ov, _vals, jac in options[s]
-                if col not in exclude
-            ),
+            ((s, col, jac) for s in nk_src for col, _ov, _vals, jac in options[s]),
             key=lambda t: (-t[2], t[0], t[1]),
         )
         used: set[str] = set()
@@ -244,45 +249,38 @@ def _refine_mapping(
             col for col, ov, _v, _j in options[k] if ov >= best_ov - KEY_OPTION_EPS
         ][:3]
 
-    src_keyed = src.drop_duplicates(key_cols)
+    opt_cols = {col for s in nk_src for col, *_ in options[s]}
+    src_first = first_rows(src, key_cols)
+    src_vals = {s: src[s].to_numpy(dtype=object) for s in nk_src}
+    tbl = None
     best_score, best_result = -1.0, None
-    import itertools
-
     for combo in itertools.product(*[per_key_opts[k] for k in key_cols]):
-        if len(set(combo)) != len(combo):
+        if len(set(combo)) != len(combo) or not opt_cols - set(combo):
             continue
-        kcols = list(combo)
-        opt_cols = sorted(
-            {col for s in nk_src for col, *_ in options[s]} - set(combo)
-        )
-        if not opt_cols:
+        if tbl is None:
+            tbl = load()
+        pairs = [
+            (i, src_first[k]) for k, i in first_rows(tbl, combo).items() if k in src_first
+        ]
+        if not pairs:
             continue
-        sub = tbl[kcols + opt_cols].drop_duplicates(kcols)
-        merged = sub.merge(
-            src_keyed,
-            left_on=kcols,
-            right_on=key_cols,
-            how="inner",
-            suffixes=("", _SRC_SUFFIX),
-        )
-        if merged.empty:
-            continue
+        at, src_at = (np.array(p) for p in zip(*pairs))
         # coverage factor: matching 4 of 10 source keys is weak evidence of
         # a real key alignment, however well those 4 rows agree
-        coverage = len(merged) / max(1, len(src_keyed))
+        coverage = len(pairs) / max(1, len(src_first))
         # per source col: best-matching option column by cell match rate
         assign: dict[str, tuple[str, float]] = {}
         for s in nk_src:
-            s_col = s + _SRC_SUFFIX if s + _SRC_SUFFIX in merged.columns else s
-            svals = merged[s_col]
-            nonnull = svals.notna()
+            svals = src_vals[s][src_at]
+            nonnull = pd.notna(svals)
             denom = int(nonnull.sum())
             if denom == 0:
                 continue
             for col, _ov, _vals, _j in options[s]:
                 if col in combo:
                     continue
-                rate = float(((merged[col] == svals) & nonnull).sum()) / denom
+                hits = (tbl[col].to_numpy(dtype=object)[at] == svals) & nonnull
+                rate = float(hits.sum()) / denom
                 if rate >= MIN_COL_MATCH and (
                     s not in assign or rate > assign[s][1]
                 ):
@@ -323,24 +321,27 @@ def set_similarity(
 ) -> list[Candidate]:
     """Alg 3: retrieve, diversify, verify, de-subsume and rename candidates."""
     src = canon_str(source)
-    stats = _column_containments(spark, repo, src, restrict_to)
-    stats = stats[stats["overlap"] >= tau]
-    if not len(stats):
+    stats = [h for h in _column_containments(spark, repo, src, restrict_to) if h.overlap >= tau]
+    if not stats:
         return []
 
     # per source column: options per table, ranked + diversified
     table_scores: dict[str, list[float]] = {}
     options: dict[str, dict[str, list[tuple[str, float, frozenset, float]]]] = {}
-    for src_col, grp in stats.groupby("src_col", sort=True):
-        for r in grp.itertuples():
-            options.setdefault(r.table, {}).setdefault(src_col, []).append(
-                (r.col, r.overlap, r.vals, r.jac)
+    for src_col, grp in itertools.groupby(stats, key=lambda h: h.src_col):
+        ranked: list[dict] = []
+        seen: set[str] = set()
+        for h in grp:
+            options.setdefault(h.table, {}).setdefault(src_col, []).append(
+                (h.col, h.overlap, h.vals, h.jac)
             )
-        best = grp.drop_duplicates("table").head(k_per_col)
-        ranked = [
-            {"table": r.table, "col": r.col, "overlap": r.overlap, "vals": r.vals}
-            for r in best.itertuples()
-        ]
+            # each table's best column, for the first ``k_per_col`` tables
+            if h.table not in seen:
+                seen.add(h.table)
+                if len(ranked) < k_per_col:
+                    ranked.append(
+                        {"table": h.table, "col": h.col, "overlap": h.overlap, "vals": h.vals}
+                    )
         for d in diversify_candidates(ranked):
             table_scores.setdefault(d["table"], []).append(d["div_score"])
 
@@ -351,8 +352,8 @@ def set_similarity(
 
     cands: list[Candidate] = []
     for name in order:
-        tbl = repo.load_pdf(name)
-        mapping = _refine_mapping(tbl, options[name], src, list(key_cols))
+        load = functools.cache(functools.partial(repo.load_pdf, name))
+        mapping = _refine_mapping(load, options[name], src, list(key_cols))
         if not mapping:
             continue
         opt = options[name]
@@ -364,7 +365,6 @@ def set_similarity(
             s: next((v for c, _ov, v, _j in opt.get(s, []) if c == col), frozenset())
             for s, col in mapping.items()
         }
-        renamed_pdf = _rename_pdf(tbl, name, mapping)
         cands.append(
             Candidate(
                 name=name,
@@ -373,7 +373,11 @@ def set_similarity(
                 col_overlaps=overlaps,
                 matched_values=matched,
                 score=sum(table_scores[name]) / len(table_scores[name]),
-                pdf=renamed_pdf if len(tbl) <= PANDAS_CAP else None,
+                pdf=(
+                    _rename_pdf(load(), name, mapping)
+                    if repo.rows(name) <= PANDAS_CAP
+                    else None
+                ),
             )
         )
 

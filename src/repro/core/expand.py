@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.discovery import Candidate, renamed_frame
-from repro.core.operators import null_none
+from repro.core.operators import first_rows
 from repro.lake.repository import TableRepository, to_spark
 
 if TYPE_CHECKING:
@@ -213,13 +213,6 @@ def _join_pdfs(
     return pd.DataFrame(cols)
 
 
-def _first_rows(pdf: pd.DataFrame, key_cols: list[str]) -> dict[tuple, int]:
-    """Each key's first row in ``pdf``; null key parts are equal, as in
-    ``drop_duplicates`` and a pandas ``merge``."""
-    keys = list(zip(*(null_none(pdf[k]) for k in key_cols)))
-    return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-
-
 def _materialise_path(
     spark: SparkSession,
     start: Candidate,
@@ -261,10 +254,10 @@ def _materialise_path(
     # now-available key alignment (a keyless candidate's containment-only
     # mapping can be wrong; cheap to check once the chain has a key)
     if source is not None:
-        src_first = _first_rows(source, key_cols)
+        src_first = first_rows(source, key_cols)
         pairs = [
             (i, src_first[k])
-            for k, i in _first_rows(pdf, key_cols).items()
+            for k, i in first_rows(pdf, key_cols).items()
             if k in src_first
         ]
         if pairs:

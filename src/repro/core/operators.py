@@ -172,6 +172,13 @@ def null_none(col: pd.Series) -> np.ndarray:
     return out
 
 
+def first_rows(pdf: pd.DataFrame, key_cols: Sequence[str]) -> dict[tuple, int]:
+    """Each key's first row in ``pdf``; null key parts (None, NaN) are
+    equal, as in a pandas ``merge``."""
+    keys = list(zip(*(null_none(pdf[k]) for k in key_cols)))
+    return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+
+
 def project_select_pdf(
     pdf: pd.DataFrame, source: pd.DataFrame, key_cols: Sequence[str]
 ) -> pd.DataFrame:

@@ -1,8 +1,9 @@
 """Benchmark construction + the four evaluation tables (paper §VI).
 
 Lakes are cached as repositories under ``data/`` keyed by their build
-parameters and rebuilt when incomplete or stale (see ``_cached``); sources
-are regenerated deterministically from the same seed.
+parameters and rebuilt when incomplete or stale (see ``_cached``). A TP-TR
+lake keeps its sources next to its tables; web-table sources are lake
+tables themselves.
 
 Scale map (DESIGN.md §6): TP-TR Small/Med/Large at SF 0.001/0.01/0.1,
 SANTOS Large → 400 synthetic open-data distractors around TP-TR Med,
@@ -15,11 +16,12 @@ import json
 from pathlib import Path
 
 import pandas as pd
+import pyarrow.parquet as pq
 from pyspark.sql import SparkSession
 
 from repro.bench import noise, tptr, webtables
 from repro.harness import runner
-from repro.lake.repository import StaleLakeError, TableRepository
+from repro.lake.repository import StaleLakeError, TableRepository, to_arrow
 
 DATA_ROOT = Path(__file__).resolve().parents[3] / "data"
 
@@ -59,20 +61,47 @@ def _mark(root: Path, params: dict) -> None:
     (root / "params.json").write_text(json.dumps(params))
 
 
+def _save_sources(root: Path, sources: list[tptr.SourceSpec]) -> None:
+    """Write a TP-TR lake's sources under its root: one all-string Parquet
+    file each, and their key columns, base tables and operator counts."""
+    out = root / "sources"
+    out.mkdir(exist_ok=True)
+    for s in sources:
+        pq.write_table(to_arrow(s.table), out / f"{s.name}.parquet")
+    specs = [
+        {"name": s.name, "key_cols": s.key_cols, "base_tables": s.base_tables, "n_ops": s.n_ops}
+        for s in sources
+    ]
+    (out / "specs.json").write_text(json.dumps(specs, indent=1))
+
+
+def _load_sources(root: Path) -> list[tptr.SourceSpec] | None:
+    """The sources ``_save_sources`` wrote, or None when there are none."""
+    src = root / "sources"
+    try:
+        specs = json.loads((src / "specs.json").read_text())
+        return [
+            tptr.SourceSpec(**spec, table=pq.read_table(src / f"{spec['name']}.parquet").to_pandas())
+            for spec in specs
+        ]
+    except FileNotFoundError:
+        return None
+
+
 def get_tptr(spark: SparkSession, name: str, *, seed: int = 0) -> tptr.TPTRBench:
-    """Build-or-load one of the TP-TR-family lakes."""
+    """Build-or-load one of the TP-TR-family lakes.
+
+    A built lake keeps its sources (``_save_sources``), so a cache hit reads
+    them back and generates nothing; a lake without them is rebuilt."""
     cfg = TPTR_SCALES[name]
     root = DATA_ROOT / name
     params = {"sf": cfg["sf"], "seed": seed, "n_noise": cfg["n_noise"]}
-    if _cached(root, params):
-        repo = TableRepository(root)
-        originals = tptr.original_tables(spark, cfg["sf"], seed=seed)
-        sources = tptr.build_sources(originals, target_rows=cfg["target_rows"])
+    if _cached(root, params) and (sources := _load_sources(root)) is not None:
         int_sets = {
             s.name: [f"{b}__{sfx}" for b in s.base_tables for sfx in tptr.VARIANT_SUFFIXES]
             for s in sources
         }
-        return tptr.TPTRBench(repo=repo, sources=sources, int_sets=int_sets)
+        return tptr.TPTRBench(repo=TableRepository(root), sources=sources, int_sets=int_sets)
     extra = (
         noise.santos_noise(cfg["n_noise"], seed=seed + 1000)
         if cfg["n_noise"]
@@ -82,6 +111,7 @@ def get_tptr(spark: SparkSession, name: str, *, seed: int = 0) -> tptr.TPTRBench
         spark, root, sf=cfg["sf"], target_rows=cfg["target_rows"], seed=seed,
         extra_tables=extra,
     )
+    _save_sources(root, bench.sources)
     _mark(root, params)
     return bench
 

@@ -88,7 +88,8 @@ def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     return spark.createDataFrame(spdf, schema=_string_schema(list(spdf.columns)))
 
 
-def _to_arrow(pdf: pd.DataFrame) -> pa.Table:
+def to_arrow(pdf: pd.DataFrame) -> pa.Table:
+    """A canonical frame as an all-string Arrow table (all-null columns too)."""
     return pa.Table.from_pydict(
         {c: pa.array(list(pdf[c]), type=pa.string()) for c in pdf.columns}
     )
@@ -112,7 +113,7 @@ class RepositoryBuilder:
         if name in self._manifest:
             raise ValueError(f"duplicate table name {name!r}")
         spdf = canon_str(pdf)
-        tbl = _to_arrow(spdf)
+        tbl = to_arrow(spdf)
         pq.write_table(tbl, self.root / "tables" / f"{name}.parquet")
         # distinct non-null cells for the discovery dataset; their count
         # per column is the column's extent
@@ -177,6 +178,7 @@ class TableRepository:
                 f"({len(stale)} tables, e.g. {stale[0]!r}); rebuild this lake "
                 "with RepositoryBuilder"
             )
+        self._cells: dict[SparkSession, DataFrame] = {}
 
     def names(self) -> list[str]:
         return sorted(self.manifest)
@@ -211,10 +213,16 @@ class TableRepository:
         return pq.read_table(self.table_path(name)).to_pandas()
 
     def cells(self, spark: SparkSession) -> DataFrame:
-        """The consolidated (table, col, value) distinct-cells dataset."""
-        return spark.read.schema(_string_schema(_CELLS_COLUMNS)).parquet(
-            str(self.cells_path())
-        )
+        """The consolidated (table, col, value) distinct-cells dataset.
+
+        Built once per session: reading it lists the part files and
+        resolves the relation, which every discovery call would otherwise
+        repeat."""
+        if spark not in self._cells:
+            self._cells[spark] = spark.read.schema(_string_schema(_CELLS_COLUMNS)).parquet(
+                str(self.cells_path())
+            )
+        return self._cells[spark]
 
     def stats(self) -> dict:
         """Table-I style statistics: # tables, # cols, avg rows, size (MB)."""

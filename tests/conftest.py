@@ -102,6 +102,18 @@ def fig3_s2hat() -> pd.DataFrame:
     )
 
 
+@pytest.fixture(scope="session")
+def tptr_small(spark, tmp_path_factory):
+    """The seed-0 TP-TR Small lake and sources, as ``experiments.get_tptr``
+    builds them under a temporary data root. Returns (data root, bench)."""
+    from repro.harness import experiments
+
+    root = tmp_path_factory.mktemp("data")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "DATA_ROOT", root)
+        return root, experiments.get_tptr(spark, "tptr_small")
+
+
 def stale_layout(root, params: dict):
     """Strip a built lake down to a stale layout: a manifest without
     extents and ``params.json``, no tables, no cells (what ``data/``'s

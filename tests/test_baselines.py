@@ -1,4 +1,6 @@
 """Baselines on the Fig-3 lake: ALITE(-PS), Auto-Pipeline*, Ver."""
+import time
+
 import pandas as pd
 import pytest
 
@@ -12,6 +14,8 @@ from repro.lake.repository import to_spark
 
 KEY = ["ID"]
 TAU = 0.3
+BUDGET_S = 5.0  # above a warm pass's start, far below the slowed pass
+BUDGET_SLACK_S = 8.0  # a cancelled job's teardown on a loaded host
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +78,33 @@ class TestFullDisjunction:
     def test_timeout_returns_none(self, spark):
         t = to_spark(spark, pd.DataFrame({"k": ["1"], "a": ["x"]}))
         assert full_disjunction(t, block_cols=["k", "a"], deadline=0.0) is None
+
+    def test_deadline_stops_a_running_pass(self, spark, monkeypatch):
+        t = to_spark(spark, pd.DataFrame({"k": ["1", "1"], "a": ["x", None]}))
+        out = full_disjunction(t, block_cols=["k", "a"], deadline=time.monotonic() + 300)
+        assert {tuple(r) for r in out.select("k", "a").collect()} == {("1", "x")}
+
+        # now the first pass's one block takes a minute, far above the
+        # budget: the pass must be cancelled at the deadline
+        closure = ops.complement_closure_pdf
+
+        def slow_closure(pdf):
+            import time as _time
+
+            _time.sleep(60)
+            return closure(pdf)
+
+        monkeypatch.setattr(ops, "complement_closure_pdf", slow_closure)
+        sc = spark.sparkContext
+        t0 = time.monotonic()
+        out = full_disjunction(t, block_cols=["k", "a"], deadline=t0 + BUDGET_S)
+        elapsed = time.monotonic() - t0
+        assert out is None
+        assert elapsed < BUDGET_S + BUDGET_SLACK_S
+        sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)  # job events are async
+        assert list(sc.statusTracker().getActiveJobsIds()) == []
+        assert list(sc.getJobTags()) == []
+        assert sc.getLocalProperty("spark.job.interruptOnCancel") is None
 
 
 class TestAlite:

@@ -1,9 +1,11 @@
 """Set Similarity (Alg 3) and Diversify (Alg 4) over the Fig-3 lake."""
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import discovery as disc
 from repro.lake.repository import RepositoryBuilder, canon_str
+from tests import discovery_reference as ref
 from tests.conftest import jobs_started
 
 KEY = ["ID"]
@@ -226,12 +228,10 @@ class TestColumnContainments:
                     n = len(lv & sv)
                     if n:
                         jac = n / (len(sv) + len(lv) - n)
-                        want.add((t, c, s, n, n / len(sv), jac, frozenset(lv & sv)))
-        assert set(
-            zip(got["table"], got["col"], got["src_col"], got["n_shared"],
-                got["overlap"], got["jac"], got["vals"])
-        ) == want
+                        want.add((t, c, s, n / len(sv), jac, frozenset(lv & sv)))
+        assert set(got) == want
         assert len(got) == len(want)
+        assert got == sorted(got, key=lambda h: (h.src_col, -h.overlap, h.table, h.col))
 
 
 class TestRowSet:
@@ -263,3 +263,184 @@ class TestUncachedSubsumption:
         assert {c.name for c in capped if c.pdf is None} >= {"A", "C", "D"}
         assert [c.name for c in capped] == [c.name for c in candidates]
         assert set(c.name for c in capped) == {"A", "C", "D"}
+
+
+def _refine_case(kind: str, seed: int):
+    """A seeded (table, options, canonical source, key) for ``_refine_mapping``.
+
+    The table's rows are drawn from the source's (so keys repeat and most
+    cells agree), some cells are overwritten, and its columns are an
+    anonymised permutation of the source's plus one noise column. Options
+    are drawn from the table's columns with containments that often tie.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(dom: int, size: int, p_null: float, prefix: str = "") -> np.ndarray:
+        vals = np.array([f"{prefix}{v}" for v in rng.integers(0, dom, size)], dtype=object)
+        vals[rng.random(size) < p_null] = None
+        return vals
+
+    names = ["c0", "c1", "c2", "c3", "c4"] if kind == "name_clash" else ["k1", "k2", "a", "b", "c"]
+    composite = kind == "composite" or rng.random() < 0.3
+    key_cols = names[:2] if composite else names[:1]
+    nk = names[2:] if composite else names[1:4]
+    n = int(rng.integers(4, 14))
+    kdom = 3 if kind == "dup_keys" else int(rng.choice([4, 40]))
+    src = {k: draw(kdom, n, 0.3 if kind == "null_keys" else 0.05) for k in key_cols}
+    src.update({s: draw(4, n, 0.2, "v") for s in nk})
+    if kind == "all_null_col":
+        src[nk[0]] = np.full(n, None, dtype=object)
+    src = pd.DataFrame(src)
+
+    m = int(rng.integers(n, 3 * n))
+    at = rng.integers(0, n, m)
+    lake_cols = [f"c{i}" for i in range(len(key_cols) + len(nk) + 1)]
+    perm = rng.permutation(lake_cols)
+    lake = {}
+    for j, s in enumerate(key_cols + nk):
+        vals = src[s].to_numpy(dtype=object)[at]
+        if s in key_cols and kind == "no_aligned_key":
+            vals = np.array([None if v is None else "z" + v for v in vals], dtype=object)
+        elif s not in key_cols:
+            bad = rng.random(m) < 0.3
+            vals[bad] = draw(4, int(bad.sum()), 0.2, "v")
+        lake[perm[j]] = vals
+    lake[perm[-1]] = draw(4, m, 0.2, "v")
+    tbl = pd.DataFrame({c: lake[c] for c in lake_cols})
+    for c in lake_cols:  # one null spelling per column, as a Parquet read has
+        if kind == "null_keys" or rng.random() < 0.3:
+            tbl[c] = tbl[c].where(tbl[c].notna(), np.nan)
+
+    options = {}
+    for s in key_cols + nk:
+        if s not in key_cols and rng.random() < 0.15:
+            continue
+        cols = list(rng.choice(lake_cols, int(rng.integers(1, 4)), replace=False))
+        if rng.random() < 0.8 and perm[(key_cols + nk).index(s)] not in cols:
+            cols[0] = perm[(key_cols + nk).index(s)]
+        if s in key_cols and kind == "tied_keys":
+            ovs = [1.0] * len(cols)
+        else:
+            ovs = sorted(rng.choice([1.0, 1.0, 0.97, 0.9, 0.6, 0.3], len(cols)), reverse=True)
+        options[s] = [
+            (str(c), float(ov), frozenset(), float(rng.random())) for c, ov in zip(cols, ovs)
+        ]
+    return tbl, options, canon_str(src), key_cols
+
+
+class TestRefineMapping:
+    """The key-option refinement equals the pandas ``drop_duplicates`` +
+    ``merge`` form (``discovery_reference.py``), and reads the table only
+    to align a key option."""
+
+    KINDS = [
+        "composite", "dup_keys", "null_keys", "name_clash", "tied_keys",
+        "no_aligned_key", "all_null_col",
+    ]
+
+    @staticmethod
+    def _loader(tbl):
+        calls = []
+
+        def load():
+            calls.append(1)
+            return tbl
+
+        return load, calls
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equal_to_reference(self, kind, seed):
+        tbl, options, src, key_cols = _refine_case(kind, seed)
+        load, calls = self._loader(tbl)
+        got = disc._refine_mapping(load, options, src, key_cols)
+        want = ref.refine_mapping(tbl, options, src, key_cols)
+        assert (got and list(got.items())) == (want and list(want.items()))
+        assert len(calls) <= 1
+
+    def test_first_row_per_key(self):
+        # key "1" repeats on both sides; aligned on first rows, "a" agrees
+        # with c1 everywhere, on last rows with c2
+        src = pd.DataFrame({"k": ["1", "2", "1"], "a": ["x", "y", "q"]})
+        tbl = pd.DataFrame(
+            {"c0": ["1", "2", "1"], "c1": ["x", "y", "w"], "c2": ["q", "y", "x"]}
+        )
+        options = {
+            "k": [("c0", 1.0, frozenset(), 1.0)],
+            "a": [("c1", 1.0, frozenset(), 0.5), ("c2", 1.0, frozenset(), 0.5)],
+        }
+        want = ref.refine_mapping(tbl, options, src, ["k"])
+        assert want == {"k": "c0", "a": "c1"}
+        assert disc._refine_mapping(lambda: tbl, options, src, ["k"]) == want
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            # the key has no option: keyless, Jaccard-greedy
+            {"a": [("c1", 1.0, frozenset(), 0.9), ("c2", 0.9, frozenset(), 0.4)]},
+            # only the key has options: nothing to verify
+            {"k": [("c0", 1.0, frozenset(), 1.0)]},
+            # the only key option is the only non-key option
+            {"k": [("c0", 1.0, frozenset(), 1.0)], "a": [("c0", 0.5, frozenset(), 0.2)]},
+        ],
+    )
+    def test_no_read_without_a_key_option_to_align(self, options):
+        src = canon_str(pd.DataFrame({"k": ["1", "2"], "a": ["x", "y"]}))
+
+        def load():
+            raise AssertionError("the table was read")
+
+        got = disc._refine_mapping(load, options, src, ["k"])
+        tbl = pd.DataFrame({"c0": ["1"], "c1": ["x"], "c2": ["y"]})
+        assert got == ref.refine_mapping(tbl, options, src, ["k"])
+
+
+class TestLakeReads:
+    """Discovery reads a lake table only to align a key option or for a
+    kept candidate, and lists the cells dataset once per session."""
+
+    def test_tptr_small_q09_reads_eight_tables(self, spark, tptr_small, monkeypatch):
+        from repro.lake.repository import TableRepository
+
+        _root, bench = tptr_small
+        q09 = next(s for s in bench.sources if s.name == "q09")
+        loads: list[str] = []
+        load_pdf = TableRepository.load_pdf
+
+        def counting(self, name):
+            loads.append(name)
+            return load_pdf(self, name)
+
+        monkeypatch.setattr(TableRepository, "load_pdf", counting)
+        cands = disc.set_similarity(spark, bench.repo, q09.table, q09.key_cols, tau=0.2)
+        assert cands
+        # the four lineitem variants are rejected from their options alone
+        assert len(loads) == 8
+        assert not [n for n in loads if n.startswith("lineitem__")]
+
+    def test_cells_relation_built_once_per_session(
+        self, spark, fig3_repo, fig3_source, monkeypatch
+    ):
+        from pyspark.sql.readwriter import DataFrameReader
+
+        disc.set_similarity(spark, fig3_repo, fig3_source, KEY, tau=TAU)
+        reads = []
+        parquet = DataFrameReader.parquet
+
+        def counting(self, *paths, **kw):
+            reads.append(paths)
+            return parquet(self, *paths, **kw)
+
+        monkeypatch.setattr(DataFrameReader, "parquet", counting)
+        cands = disc.set_similarity(spark, fig3_repo, fig3_source, KEY, tau=TAU)
+        assert "A" in {c.name for c in cands}
+        assert disc.coarse_retrieve(spark, fig3_repo, fig3_source, top_k=3)
+        assert reads == []
+
+        other = spark.newSession()
+        cells = fig3_repo.cells(other)
+        assert cells.sparkSession is other
+        assert len(reads) == 1
+        assert fig3_repo.cells(other) is cells
+        assert fig3_repo.cells(spark) is not cells
+        assert len(reads) == 1

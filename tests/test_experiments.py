@@ -1,12 +1,14 @@
 """Lake caches under ``data/``: a stale or incomplete cache is rebuilt."""
 import json
+import shutil
 
 import pandas as pd
 import pytest
 
+from repro.bench import tptr
 from repro.harness import experiments
 from repro.lake.repository import RepositoryBuilder
-from tests.conftest import stale_layout
+from tests.conftest import jobs_started, stale_layout
 
 PARAMS = {"seed": 0, "n_noise": 0}
 
@@ -58,3 +60,41 @@ def test_stale_cache_is_rebuilt(monkeypatch, tmp_path):
     assert experiments._cached(tmp_path / "t2d", params)
     name = bench.repo.names()[0]
     assert len(bench.repo.load_pdf(name)) == bench.repo.rows(name)
+
+
+class TestTptrSources:
+    """A TP-TR lake keeps its sources: a cache hit reads them back."""
+
+    @staticmethod
+    def assert_same_sources(got, want):
+        assert [s.name for s in got] == [s.name for s in want]
+        for a, b in zip(got, want):
+            assert (a.key_cols, a.base_tables, a.n_ops) == (b.key_cols, b.base_tables, b.n_ops)
+            pd.testing.assert_frame_equal(a.table, b.table)
+
+    def test_hit_reads_sources_without_a_spark_job(self, spark, tptr_small, monkeypatch):
+        root, built = tptr_small
+        monkeypatch.setattr(experiments, "DATA_ROOT", root)
+        hit, jobs = jobs_started(spark, lambda: experiments.get_tptr(spark, "tptr_small"))
+        assert jobs == []
+        cfg = experiments.TPTR_SCALES["tptr_small"]
+        rebuilt = tptr.build_sources(
+            tptr.original_tables(spark, cfg["sf"], seed=0), target_rows=cfg["target_rows"]
+        )
+        assert len(rebuilt) == 26
+        self.assert_same_sources(hit.sources, rebuilt)
+        self.assert_same_sources(built.sources, rebuilt)
+        assert hit.int_sets == built.int_sets
+
+    def test_lake_without_sources_is_rebuilt(self, spark, tptr_small, tmp_path, monkeypatch):
+        root, built = tptr_small
+        shutil.copytree(root / "tptr_small", tmp_path / "tptr_small")
+        shutil.rmtree(tmp_path / "tptr_small" / "sources")
+        monkeypatch.setattr(experiments, "DATA_ROOT", tmp_path)
+        params = json.loads((tmp_path / "tptr_small" / "params.json").read_text())
+        assert experiments._cached(tmp_path / "tptr_small", params)
+
+        bench, jobs = jobs_started(spark, lambda: experiments.get_tptr(spark, "tptr_small"))
+        assert jobs  # regenerated through Spark
+        assert (tmp_path / "tptr_small" / "sources" / "specs.json").exists()
+        self.assert_same_sources(bench.sources, built.sources)
