@@ -143,8 +143,8 @@ def _align_unmapped(cands: Sequence[Candidate]) -> list[DataFrame]:
     """
     from pyspark.sql import functions as F
 
-    from repro.core.expand import _value_sets
     from repro.core.discovery import UNMAPPED_SEP
+    from repro.core.expand import _SAMPLE
 
     vsets: list[tuple[int, str, frozenset]] = []
     for i, c in enumerate(cands):
@@ -154,7 +154,7 @@ def _align_unmapped(cands: Sequence[Candidate]) -> list[DataFrame]:
             if UNMAPPED_SEP not in col:
                 continue
             vals = c.pdf[col].dropna().unique()
-            vsets.append((i, col, frozenset(vals[:20_000])))
+            vsets.append((i, col, frozenset(vals[:_SAMPLE])))
     # union-find clustering on Jaccard >= 0.5
     parent = {k: k for k in range(len(vsets))}
 

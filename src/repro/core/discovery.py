@@ -77,8 +77,8 @@ class Candidate:
     def df(self) -> DataFrame:
         """The candidate as a Spark frame, built on first read: mapped
         columns renamed to source names, unmapped ones prefixed. Gen-T reads
-        ``pdf`` where it has one; the baselines and the uncached key slice
-        read this."""
+        ``pdf``, or a filtered Parquet read where there is none; the
+        baselines read this."""
         return self.load()
 
 
@@ -384,7 +384,7 @@ def set_similarity(
     return _remove_subsumed(cands, repo)
 
 
-def _renamed(columns: list[str], name: str, mapping: dict[str, str]) -> list[str]:
+def renamed_columns(columns: list[str], name: str, mapping: dict[str, str]) -> list[str]:
     """Mapped columns take source names; unmapped ones are prefixed."""
     inv = {c: s for s, c in mapping.items()}
     return [inv.get(c, f"{name}{UNMAPPED_SEP}{c}") for c in columns]
@@ -394,12 +394,12 @@ def _load_renamed(
     spark: SparkSession, repo: TableRepository, name: str, mapping: dict[str, str]
 ) -> DataFrame:
     df = repo.load(spark, name)
-    return df.toDF(*_renamed(df.columns, name, mapping))
+    return df.toDF(*renamed_columns(df.columns, name, mapping))
 
 
 def _rename_pdf(pdf: pd.DataFrame, name: str, mapping: dict[str, str]) -> pd.DataFrame:
     out = pdf.copy()
-    out.columns = _renamed(list(pdf.columns), name, mapping)
+    out.columns = renamed_columns(list(pdf.columns), name, mapping)
     return out
 
 

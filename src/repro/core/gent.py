@@ -97,10 +97,8 @@ def reclaim_from_candidates(
 
     t3 = time.perf_counter()
     # one |S|-bounded slice per candidate, shared by encoding and integration
-    slices = {c.name: mtx.key_slice(spark, c, source, key_cols) for c in cands}
-    matrices = {
-        n: mtx.matrix_for_candidate(spark, sl, source, key_cols) for n, sl in slices.items()
-    }
+    slices = {c.name: mtx.key_slice(repo, c, source, key_cols) for c in cands}
+    matrices = {n: mtx.matrix_for_candidate(sl, source, key_cols) for n, sl in slices.items()}
     orig_names = mtx.matrix_traversal(matrices, source, key_cols)
     timings["matrix_traversal"] = time.perf_counter() - t3
 

@@ -209,8 +209,16 @@ class TableRepository:
             self.table_path(name)
         )
 
-    def load_pdf(self, name: str) -> pd.DataFrame:
-        return pq.read_table(self.table_path(name)).to_pandas()
+    def load_pdf(
+        self,
+        name: str,
+        *,
+        columns: list[str] | None = None,
+        filters: list[tuple] | None = None,
+    ) -> pd.DataFrame:
+        """Load one table in pandas: all of it, or only ``columns`` and the
+        rows passing pyarrow's ``filters``, in file order."""
+        return pq.read_table(self.table_path(name), columns=columns, filters=filters).to_pandas()
 
     def cells(self, spark: SparkSession) -> DataFrame:
         """The consolidated (table, col, value) distinct-cells dataset.

@@ -96,7 +96,7 @@ class TestUncachedPath:
             return sorted(pdf.values.tolist(), key=repr)
 
         return cands, {
-            c.name: (rows(mtx.key_slice(spark, c, src, KEY)), rows(c.df.toPandas()))
+            c.name: (rows(mtx.key_slice(lake, c, src, KEY)), rows(c.df.toPandas()))
             for c in out
         }
 
@@ -177,7 +177,7 @@ class TestJoinNulls:
 
         c = cand("C", keyless, {"Name": "c0", "Gender": "c1"})
         a = cand("A", keyed, {"ID": "c0", "Name": "c1", "Gender": "c2"})
-        frames = {"C": keyless, "A": keyed}
+        frames = {"C": exp._columns(keyless), "A": exp._columns(keyed)}
         edges = {("C", "A"): ("Name", "Name", 1.0), ("A", "C"): ("Name", "Name", 1.0)}
         path = exp._materialise_path(
             spark, c, ["C", "A"], {"C": c, "A": a}, frames, edges, KEY
@@ -192,13 +192,13 @@ class TestJoinNulls:
             a=keyed,
         )
         # ID 4 is not a source key; "Li" fans out to IDs 3 and 4
-        assert sorted(mtx.key_slice(spark, path, source, KEY).values.tolist()) == [
+        assert sorted(mtx.key_slice(None, path, source, KEY).values.tolist()) == [
             ["2", "Wang", "Female"], ["3", "Li", "Male"]
         ]
 
 
 def _join_reference(lp, rp, ca, cb):
-    """The ``merge``-then-coalesce form ``_join_pdfs`` replaced."""
+    """The ``merge``-then-coalesce form of a one-hop join."""
     shared = [c for c in lp.columns if c in set(rp.columns)]
     merged = lp[lp[ca].notna()].merge(
         rp[rp[cb].notna()], left_on=ca, right_on=cb, how="inner", suffixes=("", "\x00r")
@@ -212,8 +212,8 @@ def _join_reference(lp, rp, ca, cb):
 
 
 class TestJoinPdfs:
-    """``_join_pdfs`` equals ``merge`` with coalesced shared columns: the
-    same columns, dtypes, rows and row order."""
+    """A one-hop ``_join_path`` equals ``merge`` with coalesced shared
+    columns: the same columns, dtypes, rows and row order."""
 
     @staticmethod
     def _frame(rng, cols):
@@ -229,8 +229,221 @@ class TestJoinPdfs:
         rcols = list(rng.choice(names, size=int(rng.integers(1, 5)), replace=False))
         lp, rp = self._frame(rng, lcols), self._frame(rng, rcols)
         ca, cb = str(rng.choice(lcols)), str(rng.choice(rcols))
-        got, want = exp._join_pdfs(lp, rp, ca, cb), _join_reference(lp, rp, ca, cb)
+        got = exp._join_path([exp._columns(lp), exp._columns(rp)], [(ca, cb)])
+        want = _join_reference(lp, rp, ca, cb)
         assert list(got.columns) == list(want.columns)
         assert list(got.dtypes) == list(want.dtypes)
         assert got.index.equals(want.index)
         assert got.equals(want)
+
+    def test_rows_in_left_then_right_order(self):
+        # as many matches as left rows, though rows 0-2 match nothing and
+        # rows 3, 4 and 6 twice: pandas 2.2's merge returns this out of
+        # (left, right) order
+        lk = np.array(["j0", "j0", "j0", "j2", "j2", "j1", "j2"], dtype=object)
+        rk = np.array(["j4", "j3", "j4", "j2", "j1", "j2", None], dtype=object)
+        i, j = exp._match(lk, rk)
+        assert list(zip(i.tolist(), j.tolist())) == [
+            (3, 3), (3, 5), (4, 3), (4, 5), (5, 4), (6, 3), (6, 5)
+        ]
+
+
+def _path_case(kind: str, seed: int):
+    """A seeded path of 2–4 tiny renamed frames, with its candidates, edges
+    and canonical source: (start, path, by_name, frames, edges, key, source).
+
+    Join columns are unmapped (``T1__u__in``) and drawn from a small pool
+    with nulls; key parts come from a pool S holds only part of, so the
+    cut has rows to drop. ``kind`` picks what the case stresses: a
+    composite key with a part on the start table, a join column an earlier
+    table also holds, many nulls, duplicate source keys, or three hops.
+    """
+    rng = np.random.default_rng(seed)
+    composite = kind == "composite_start" or (kind != "plain" and rng.random() < 0.4)
+    key = ["k1", "k2"] if composite else ["k1"]
+    hops = 3 if kind == "three_hops" else int(rng.integers(1, 3))
+    if kind == "shared_join":
+        hops = max(hops, 2)
+    p_null = 0.3 if kind == "nulls" else 0.1
+
+    def draw(pool, n, p=p_null):
+        v = np.array(pool, dtype=object)[rng.integers(len(pool), size=n)]
+        v[rng.random(n) < p] = None
+        return v
+
+    n_src = int(rng.integers(3, 8))
+    src = {k: draw([f"{k}{i}" for i in range(4)], n_src) for k in key}
+    src["a"] = draw(["a0", "a1", "a2"], n_src)
+    src["b"] = draw(["b0", "b1"], n_src)
+    source = pd.DataFrame(src, dtype=object)
+    if kind == "dup_keys":
+        for k in key:
+            source.loc[1, k] = source.loc[0, k]
+    kpool = {k: [f"{k}{i}" for i in range(6)] for k in key}  # k4, k5: not in S
+    jpool = ["j0", "j1", "j2", "j3"]
+    apool = ["a0", "a1", "a2", "a3"]
+    names = [f"T{j}" for j in range(hops + 1)]
+    frames: dict[str, pd.DataFrame] = {}
+    edges: dict[tuple[str, str], tuple[str, str, float]] = {}
+    for j, n in enumerate(names):
+        m = int(rng.integers(0 if kind == "nulls" else 2, 10))
+        cols = {}
+        shared_in = kind == "shared_join" and j == 2
+        if j:
+            cols[f"{n}__u__in"] = draw(apool if shared_in else jpool, m)
+        if j == 0 or (kind == "shared_join" and j == 1) or rng.random() < 0.5:
+            cols["a"] = draw(apool, m)
+        if j == 0 and rng.random() < 0.5:
+            cols["b"] = draw(["b0", "b1"], m)
+        if j == hops:  # most end rows carry one of S's keys
+            rows = rng.integers(len(source), size=m)
+            for k in key:
+                cols[k] = np.where(
+                    rng.random(m) < 0.5, source[k].to_numpy()[rows], draw(kpool[k], m)
+                )
+        elif composite and ((j == 0 and kind == "composite_start") or rng.random() < 0.4):
+            cols["k2"] = draw(kpool["k2"], m)
+        if j < hops:
+            cols[f"{n}__u__out"] = draw(jpool, m)
+        frames[n] = pd.DataFrame(cols, dtype=object)
+        if j:
+            prev = names[j - 1]
+            ca = "a" if shared_in else f"{prev}__u__out"
+            edges[(prev, n)] = (ca, f"{n}__u__in", 1.0)
+    by_name = {
+        n: disc.Candidate(
+            name=n, load=None,
+            mapping={c: c for c in f.columns if "__u__" not in c},
+            col_overlaps={c: 1.0 for c in f.columns if "__u__" not in c},
+            matched_values={c: frozenset(f[c].dropna()) for c in f.columns if "__u__" not in c},
+            pdf=f,
+        )
+        for n, f in frames.items()
+    }
+    return by_name[names[0]], names, by_name, frames, edges, key, source
+
+
+_KINDS = ["plain", "composite_start", "shared_join", "nulls", "dup_keys", "three_hops"]
+
+
+def _key_rows(pdf, source, key):
+    """Rows of ``pdf`` whose key (null parts equal) is one of S's."""
+    from repro.core.operators import first_rows, null_none
+
+    wanted = first_rows(source, key)
+    mask = [t in wanted for t in zip(*(null_none(pdf[k]) for k in key))]
+    return pdf[np.array(mask, dtype=bool)].reset_index(drop=True)
+
+
+class TestCutPaths:
+    """The cut join of a path is the whole join's rows whose key is one of
+    S's, in the same order; the expanded candidate (names, mappings, key
+    slice) equals the whole-join reference, and its ``df`` is the whole
+    join."""
+
+    @staticmethod
+    def _both(spark, case):
+        from tests import expand_reference as ref
+
+        start, path, by_name, frames, edges, key, source = case
+        want = ref._materialise_path(spark, start, path, by_name, frames, edges, key, source)
+        cols = {n: exp._columns(f) for n, f in frames.items()}
+        got = exp._materialise_path(spark, start, path, by_name, cols, edges, key, source)
+        return want, got
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_equal_to_reference(self, spark, kind, seed):
+        from repro.core import matrix as mtx
+
+        case = _path_case(kind, seed)
+        key, source = case[5], case[6]
+        want, got = self._both(spark, case)
+        assert (got is None) == (want is None)
+        if want is None:
+            return
+        assert got.name == want.name
+        assert list(got.mapping.items()) == list(want.mapping.items())
+        assert got.col_overlaps == want.col_overlaps
+        assert got.matched_values == want.matched_values
+        assert got.provenance == want.provenance
+        pd.testing.assert_frame_equal(got.pdf, _key_rows(want.pdf, source, key))
+        pd.testing.assert_frame_equal(
+            mtx.key_slice(None, got, source, key), mtx.key_slice(None, want, source, key)
+        )
+        pd.testing.assert_frame_equal(got.df.toPandas(), want.df.toPandas())
+
+    def test_cases_exercise_the_cut(self, spark):
+        """The generator builds paths whose whole join has rows the cut
+        drops, and paths whose cut keeps rows."""
+        dropped = kept = 0
+        for kind in _KINDS:
+            for seed in range(12):
+                case = _path_case(kind, seed)
+                want, got = self._both(None, case)
+                if want is not None:
+                    dropped += len(want.pdf) > len(got.pdf)
+                    kept += len(got.pdf) > 0
+        assert dropped >= 20 and kept >= 20
+
+
+class TestExpandEqualsReference:
+    """``expand`` on the fig-3 and seed-0 TP-TR Small candidates returns the
+    reference's candidates: names, mappings and key slices."""
+
+    @staticmethod
+    def _check(spark, repo, cands, key, source):
+        from repro.core import matrix as mtx
+        from repro.lake.repository import canon_str
+
+        from tests import expand_reference as ref
+
+        src = canon_str(source)
+        got = exp.expand(spark, repo, cands, key, source=src)
+        want = ref.expand(spark, repo, cands, key, source=src)
+        assert [c.name for c in got] == [c.name for c in want]
+        for g, w in zip(got, want):
+            assert list(g.mapping.items()) == list(w.mapping.items())
+            assert g.provenance == w.provenance
+            pd.testing.assert_frame_equal(
+                mtx.key_slice(repo, g, src, key), mtx.key_slice(repo, w, src, key)
+            )
+        return got, want
+
+    def test_fig3(self, spark, fig3_repo, fig3_source, cands):
+        got, _ = self._check(spark, fig3_repo, cands, KEY, fig3_source)
+        assert any("+" in c.name for c in got)
+
+    @pytest.mark.parametrize("name", ["q04", "q09", "q11", "q16", "q22"])
+    def test_tptr_small(self, spark, tptr_small, name):
+        _root, bench = tptr_small
+        s = next(s for s in bench.sources if s.name == name)
+        cands = disc.set_similarity(spark, bench.repo, s.table, s.key_cols, tau=0.2)
+        got, _ = self._check(spark, bench.repo, cands, s.key_cols, s.table)
+        assert any("+" in c.name for c in got)
+
+
+class TestRowsGuard:
+    """On seed-0 TP-TR Small q09 (|S| = 30) each expanded path's frame holds
+    at most |S| rows; its ``df``, which Ver reads, is the whole join."""
+
+    def test_tptr_small_q09_paths_hold_at_most_s_rows(self, spark, tptr_small):
+        from repro.lake.repository import canon_str
+
+        from tests import expand_reference as ref
+
+        _root, bench = tptr_small
+        q09 = next(s for s in bench.sources if s.name == "q09")
+        src = canon_str(q09.table)
+        cands = disc.set_similarity(spark, bench.repo, q09.table, q09.key_cols, tau=0.2)
+        out = exp.expand(spark, bench.repo, cands, q09.key_cols, source=src)
+        got = [c for c in out if "+" in c.name]
+        whole = {
+            c.name: len(c.pdf)
+            for c in ref.expand(spark, bench.repo, cands, q09.key_cols, source=src)
+        }
+        assert len(src) == 30 and len(got) == 8
+        for c in got:
+            assert len(c.pdf) <= len(src), c.name
+            assert whole[c.name] > 20 * len(src), c.name
+            assert c.df.count() == whole[c.name], c.name

@@ -85,12 +85,12 @@ class TestIntegrate:
         assert list(out.columns) == list(fig3_source.columns)
         assert out["Age"].isna().all()
 
-    def test_select_drops_foreign_keys(self, spark, fig3_source, fig3_tables):
+    def test_select_drops_foreign_keys(self, fig3_source, fig3_tables):
         # integrate takes key slices: ProjectSelect cuts the foreign key
         # while the slice is made, before integration
         a = fig3_tables["A"].copy()
         a.loc[len(a)] = ["99", "Stranger", "PhD"]
-        sl = mtx.key_slice(spark, SimpleNamespace(pdf=a), fig3_source, KEY)
+        sl = mtx.key_slice(None, SimpleNamespace(pdf=a), fig3_source, KEY)
         assert "99" not in set(sl["ID"])
         out = integ.integrate([sl], fig3_source, KEY)
         assert "99" not in set(out["ID"])
