@@ -1,17 +1,17 @@
 """Candidate table retrieval — Set Similarity (Alg 3) + Diversify (Alg 4).
 
-The part that grows with the lake is one filtered scan: the repository's
-``(table, col, value)`` cells dataset (one relation per repository and
-session), kept to the rows whose value is one of the source's distinct
-values, collected flat in one Spark job. It is the only Spark query
-discovery runs: column extents come from the manifest, and lake reads
-carry the manifest's schema. Everything after that is bounded by the
-source's values and runs on the driver in plain loops: the hits are matched
-to their source columns through one dict from value to source columns and
-counted per ``(table, col, src_col)``, then diversified, ranked, verified,
-de-subsumed and renamed. A lake table is read only to align a key option
-or for a kept candidate's pandas cache; a candidate its options settle
-costs no read.
+The part that grows with the lake is one filtered scan of the
+repository's ``(table, col, value)`` cells dataset, kept to the rows whose
+value is one of the source's distinct non-null values. It runs in process
+with pyarrow (``TableRepository.cells_with_values``), so discovery starts
+no Spark job: Spark's fixed cost per job was most of the scan's time
+(DESIGN.md §5). Column extents come from the manifest. Everything after
+that is bounded by the source's values and runs in plain loops: the hits
+are matched to their source columns through one dict from value to source
+columns and counted per ``(table, col, src_col)``, then diversified,
+ranked, verified, de-subsumed and renamed. A lake table is read only to
+align a key option or for a kept candidate's pandas cache; a candidate its
+options settle costs no read.
 
 Two refinements beyond raw set containment (both deterministic, both in
 the spirit of Alg 3's "verify overlap within aligned tuples" step; see
@@ -37,6 +37,7 @@ tables — Example 9's case — are penalised identically.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -44,8 +45,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.operators import first_rows, null_none
 from repro.lake.repository import TableRepository, canon_str
@@ -82,40 +83,25 @@ class Candidate:
         return self.load()
 
 
-def _value_filter(src: pd.DataFrame) -> str | None:
-    """SQL predicate keeping the cells whose value is in ``src``.
-
-    ``src`` is the canonical source. Each distinct non-null value is written
-    as a hex literal of its UTF-8 bytes and the cell is compared as binary,
-    so no quote, backslash, newline or ``${...}`` in a value reaches the SQL
-    text, and the whole list is parsed by Spark in one call. None when the
-    source has no non-null value: ``IN ()`` would not parse.
-    """
+def _source_values(src: pd.DataFrame) -> pa.Array:
+    """The canonical source's distinct non-null values, sorted, as the
+    scan's value set."""
     cells = src.to_numpy(dtype=object).ravel()
-    vals = sorted(set(cells[pd.notna(cells)]))
-    if not vals:
-        return None
-    hexed = ", ".join(f"X'{v.encode().hex()}'" for v in vals)
-    return f"cast(value AS binary) IN ({hexed})"
+    return pa.array(sorted(set(cells[pd.notna(cells)])), type=pa.string())
 
 
 def coarse_retrieve(
-    spark: SparkSession, repo: TableRepository, source: pd.DataFrame, *, top_k: int = 100
+    repo: TableRepository, source: pd.DataFrame, *, top_k: int = 100
 ) -> list[str]:
     """Starmie-substitute pre-retrieval: rank lake tables by total distinct
     shared-value mass with the source, keep the top-k (DESIGN.md §6)."""
-    pred = _value_filter(canon_str(source))
-    if pred is None:
+    values = _source_values(canon_str(source))
+    if not len(values):
         return []
-    hits = (
-        repo.cells(spark)
-        .where(pred)
-        .groupBy("table")
-        .agg(F.countDistinct("value").alias("n"))
-        .orderBy(F.desc("n"), "table")
-        .limit(top_k)
-    )
-    return [r["table"] for r in hits.collect()]
+    hits = repo.cells_with_values(values)
+    shared = set(zip(hits["table"].to_pylist(), hits["value"].to_pylist()))
+    n = collections.Counter(t for t, _v in shared)
+    return sorted(n, key=lambda t: (-n[t], t))[:top_k]
 
 
 class _Hit(NamedTuple):
@@ -130,26 +116,23 @@ class _Hit(NamedTuple):
 
 
 def _column_containments(
-    spark: SparkSession,
-    repo: TableRepository,
-    src: pd.DataFrame,
-    restrict_to: list[str] | None,
+    repo: TableRepository, src: pd.DataFrame, restrict_to: list[str] | None
 ) -> list[_Hit]:
-    """Every (table, col, src_col) sharing a value, from one Spark job,
-    sorted by (src_col, -overlap, table, col).
+    """Every (table, col, src_col) sharing a value, from one scan of the
+    cells, sorted by (src_col, -overlap, table, col).
 
     ``src`` is the canonical source. The cells holding one of its values
-    are collected flat as ``(table, col, value)``; the rest is plain Python
+    come back flat as ``(table, col, value)``; the rest is plain Python
     over one dict from value to the source columns holding it. Cells are
     distinct per (table, col, value), so each hit adds one distinct shared
     value to each of its source columns.
     """
-    pred = _value_filter(src)
-    if pred is None:
+    values = _source_values(src)
+    if not len(values):
         return []
-    hits = repo.cells(spark).where(pred).toPandas()
-    # the counts are per table, so restricting the hits is exact; in Spark,
-    # an ``isin`` of ~1.5K table names costs more driver time than the query
+    hits = repo.cells_with_values(values)
+    # the counts are per table, so dropping the other tables' hits after
+    # the scan is exact
     keep = None if restrict_to is None else set(restrict_to)
     src_cols_of: dict[str, list[str]] = {}
     size: dict[str, int] = {}
@@ -159,7 +142,7 @@ def _column_containments(
         for v in distinct:
             src_cols_of.setdefault(v, []).append(s)
     shared: dict[tuple[str, str, str], list[str]] = {}
-    for t, c, v in zip(hits["table"].tolist(), hits["col"].tolist(), hits["value"].tolist()):
+    for t, c, v in zip(*(hits[f].to_pylist() for f in ("table", "col", "value"))):
         if keep is not None and t not in keep:
             continue
         for s in src_cols_of.get(v, ()):
@@ -321,7 +304,7 @@ def set_similarity(
 ) -> list[Candidate]:
     """Alg 3: retrieve, diversify, verify, de-subsume and rename candidates."""
     src = canon_str(source)
-    stats = [h for h in _column_containments(spark, repo, src, restrict_to) if h.overlap >= tau]
+    stats = [h for h in _column_containments(repo, src, restrict_to) if h.overlap >= tau]
     if not stats:
         return []
 

@@ -8,8 +8,10 @@ columns (a standard join-cardinality-style estimate). Edge weights and
 joins both read one renamed pandas frame per candidate: its discovery
 cache, or, for a table over ``PANDAS_CAP``, the table loaded once per
 ``expand`` call. Edge weights use value sets sampled above ``_SAMPLE``
-distinct values (the first ``_SAMPLE`` in row order). No edge is weighed
-between two key-bearing candidates: a path ends at its first one.
+distinct values (the first ``_SAMPLE`` in row order), and every column
+pair's overlap is counted in one pass through a value → columns index. No
+edge is weighed between two key-bearing candidates: a path ends at its
+first one.
 
 A path is joined only over rows that can reach a source key, by a
 semi-join reduction (Yannakakis, VLDB 1981): the source keys cut the
@@ -46,6 +48,7 @@ sources join at most 3 tables.
 """
 from __future__ import annotations
 
+import collections
 import functools
 from typing import TYPE_CHECKING, Sequence
 
@@ -65,64 +68,88 @@ HOP_PENALTY = 0.1
 MAX_HOPS = 3
 MAX_EXPANSIONS = 16
 _SAMPLE = 20_000
+_PAIR_CHUNK = 1 << 18  # column pairs counted at once in ``_edges``
 
 Columns = dict[str, np.ndarray]  # a frame's columns, in order
 
 
-def _value_sets(cand: Candidate, frame: Columns) -> dict[str, set]:
-    """Joinable-column value sets of a raw candidate (sampled).
+def _value_sets(cand: Candidate, frame: Columns) -> dict[str, np.ndarray]:
+    """Joinable-column value sets of a raw candidate (sampled), as arrays
+    of distinct values in row order.
 
     ``frame`` is the candidate's renamed frame (``renamed_frame``). A column
     qualifies as a join candidate if it has at least MIN_JOIN_EXTENT
     distinct values *or* is near-unique within its table — the absolute
     floor rejects categorical domains in big tables without disqualifying
     the only (tiny) join column of a 3-row web table. A column with more
-    than ``_SAMPLE`` distinct values keeps its first ``_SAMPLE`` in row
-    order."""
+    than ``_SAMPLE`` distinct values keeps its first ``_SAMPLE``."""
     if len(cand.provenance) != 1:
         return {}
     n_rows = max(1, _rows(frame))
     out = {}
     for col, arr in frame.items():
-        arr = arr[pd.notna(arr)]
-        if len(arr) > _SAMPLE:  # distinct values in row order, to sample
-            uniq = pd.unique(arr)
-            n, vals = len(uniq), set(uniq[:_SAMPLE])
-        else:
-            vals = set(arr)
-            n = len(vals)
-        if n < MIN_JOIN_EXTENT and n < 0.8 * n_rows:
+        uniq = pd.unique(arr[pd.notna(arr)])
+        if len(uniq) < MIN_JOIN_EXTENT and len(uniq) < 0.8 * n_rows:
             continue
-        out[col] = vals
+        out[col] = uniq[:_SAMPLE]
     return out
 
 
-def _edge(
-    a: Candidate, b: Candidate, vsets: dict[str, dict[str, set]]
-) -> tuple[str, str, float] | None:
-    """Best join condition between two candidates: (colA, colB, weight).
+def _edges(
+    names: list[str], vsets: dict[str, dict[str, np.ndarray]], ends: set[str]
+) -> dict[tuple[str, str], tuple[str, str, float]]:
+    """Best join condition of every candidate pair: {(a, b): (colA, colB,
+    weight)} for a < b, no pair of two key-bearing candidates.
 
     All column pairs compete on the Jaccard of their (full, sampled) value
-    sets — ties go to the pair with the larger extents, so a dense FK
-    column (custkey ↔ custkey) beats a small categorical domain that also
-    happens to overlap. Columns below MIN_JOIN_EXTENT distinct values are
-    never join candidates (a 5-value segment column would build a
-    many-to-many mess)."""
-    best: tuple[str, str, float, int] | None = None
-    for ca, va in vsets.get(a.name, {}).items():
-        for cb, vb in vsets.get(b.name, {}).items():
-            inter = len(va & vb)
-            if not inter:
-                continue
-            w = inter / (len(va) + len(vb) - inter)
-            ext = min(len(va), len(vb))
-            if w >= MIN_JOIN_JACCARD and (
-                best is None or (w, ext) > (best[2], best[3])
-            ):
-                best = (ca, cb, w, ext)
-    if best is None:
-        return None
-    return best[0], best[1], best[2]
+    sets — ties go to the pair with the larger extents, then to the first
+    pair in column order, so a dense FK column (custkey ↔ custkey) beats a
+    small categorical domain that also happens to overlap. Columns below
+    MIN_JOIN_EXTENT distinct values are never join candidates (a 5-value
+    segment column would build a many-to-many mess).
+
+    Every pair's overlap comes from one pass through a value → columns
+    index: the columns' values are coded into one space and sorted by
+    code, and each run of equal codes adds one to each pair of columns
+    it holds, ``_PAIR_CHUNK`` pairs at a time."""
+    cols = [(n, c) for n in names for c in vsets.get(n, {})]
+    if not cols:
+        return {}
+    sizes = [len(vsets[n][c]) for n, c in cols]
+    rank = {n: i for i, n in enumerate(names)}
+    owner = np.array([rank[n] for n, _c in cols])
+    is_end = np.array([n in ends for n, _c in cols])
+    codes, _uniq = pd.factorize(np.concatenate([vsets[n][c] for n, c in cols]))
+    order = np.argsort(codes, kind="stable")  # by code, then by column
+    codes = codes[order]
+    col_of = np.repeat(np.arange(len(cols)), sizes)[order]
+    # each entry pairs with the later entries of its run
+    run_end = np.searchsorted(codes, codes, side="right")
+    later = run_end - np.arange(len(codes)) - 1
+    done = np.concatenate([[0], np.cumsum(later)])
+    inter: collections.Counter = collections.Counter()
+    lo = 0
+    while lo < len(codes):
+        hi = max(lo + 1, int(np.searchsorted(done, done[lo] + _PAIR_CHUNK, side="right")) - 1)
+        reps = later[lo:hi]
+        i = np.repeat(np.arange(lo, hi), reps)
+        j = i + 1 + np.arange(len(i)) - np.repeat(done[lo:hi] - done[lo], reps)
+        a, b = col_of[i], col_of[j]
+        keep = (owner[a] != owner[b]) & ~(is_end[a] & is_end[b])
+        pair, count = np.unique(a[keep] * len(cols) + b[keep], return_counts=True)
+        inter.update(dict(zip(pair.tolist(), count.tolist())))
+        lo = hi
+    best: dict[tuple[str, str], tuple[str, str, float, int]] = {}
+    for pair in sorted(inter):  # (colA, colB) order, colA's table first
+        ga, gb = divmod(pair, len(cols))
+        n = inter[pair]
+        w = n / (sizes[ga] + sizes[gb] - n)
+        ext = min(sizes[ga], sizes[gb])
+        (na, ca), (nb, cb) = cols[ga], cols[gb]
+        prev = best.get((na, nb))
+        if w >= MIN_JOIN_JACCARD and (prev is None or (w, ext) > prev[2:]):
+            best[na, nb] = (ca, cb, w, ext)
+    return {k: v[:3] for k, v in sorted(best.items())}
 
 
 def _best_paths(
@@ -222,18 +249,12 @@ def expand(
     ends = {c.name for c in with_key}
     adj: dict[str, list[tuple[str, float]]] = {}
     edges: dict[tuple[str, str], tuple[str, str, float]] = {}
-    names = sorted(by_name)
-    for i, na in enumerate(names):
-        for nb in names[i + 1 :]:
-            if na in ends and nb in ends:
-                continue  # no path runs through a key-bearing candidate
-            e = _edge(by_name[na], by_name[nb], vsets)
-            if e:
-                ca, cb, w = e
-                adj.setdefault(na, []).append((nb, w))
-                adj.setdefault(nb, []).append((na, w))
-                edges[(na, nb)] = (ca, cb, w)
-                edges[(nb, na)] = (cb, ca, w)
+    # no path runs through a key-bearing candidate
+    for (na, nb), (ca, cb, w) in _edges(sorted(by_name), vsets, ends).items():
+        adj.setdefault(na, []).append((nb, w))
+        adj.setdefault(nb, []).append((na, w))
+        edges[(na, nb)] = (ca, cb, w)
+        edges[(nb, na)] = (cb, ca, w)
 
     keys = None if source is None else _SourceKeys(source, key_cols)
     out = list(with_key)

@@ -47,7 +47,7 @@ def reclaim(
 
     restrict = None
     if coarse_k is not None:
-        restrict = disc.coarse_retrieve(spark, repo, source, top_k=coarse_k)
+        restrict = disc.coarse_retrieve(repo, source, top_k=coarse_k)
         timings["coarse_retrieve"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()

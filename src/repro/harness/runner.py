@@ -115,7 +115,7 @@ def run_source(
     """
     restrict = None
     if coarse_k is not None:
-        restrict = disc.coarse_retrieve(spark, repo, source, top_k=coarse_k)
+        restrict = disc.coarse_retrieve(repo, source, top_k=coarse_k)
     if exclude:
         pool = restrict if restrict is not None else repo.names()
         restrict = [t for t in pool if t not in set(exclude)]

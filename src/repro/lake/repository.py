@@ -12,16 +12,17 @@ Every table is canonicalized to nullable strings on ingest (web-table
 semantics; Gen-T matches values syntactically — see DESIGN.md §4.1), so
 outer union / subsumption / complementation and the DuckDB oracle all see
 one uniform type. The *cells* dataset is appended at build time so that
-candidate discovery over a 15K-table lake is a single distributed
-filtered Spark scan instead of 15K file opens (DESIGN.md §2.1). Each column's
-*extent* — its number of distinct non-null values, i.e. its rows in the
-cells dataset — is written into the manifest at the same time, so
-discovery's Jaccard signal needs no second Spark query. Every schema is
-known from the manifest, so reads pass it to Spark and start no
-schema-inference job.
+candidate discovery over a 15K-table lake is one in-process pyarrow scan
+of a few part files instead of 15K file opens (DESIGN.md §2.1); the part
+files are listed once per repository. Each column's *extent* — its number
+of distinct non-null values, i.e. its rows in the cells dataset — is
+written into the manifest at the same time, so discovery's Jaccard signal
+needs no second scan. Every schema is known from the manifest, so Spark
+reads pass it and start no schema-inference job.
 """
 from __future__ import annotations
 
+import functools
 import json
 import shutil
 from pathlib import Path
@@ -29,12 +30,14 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import StringType, StructField, StructType
 
 _CELLS_FLUSH_EVERY = 200  # tables per cells parquet part file
-_CELLS_COLUMNS = ["table", "col", "value"]
+_SCAN_BATCH = 1 << 15  # cells per batch of discovery's scan
+_CELLS_SCHEMA = pa.schema([(c, pa.string()) for c in ("table", "col", "value")])
 
 
 class StaleLakeError(ValueError):
@@ -178,7 +181,6 @@ class TableRepository:
                 f"({len(stale)} tables, e.g. {stale[0]!r}); rebuild this lake "
                 "with RepositoryBuilder"
             )
-        self._cells: dict[SparkSession, DataFrame] = {}
 
     def names(self) -> list[str]:
         return sorted(self.manifest)
@@ -220,17 +222,31 @@ class TableRepository:
         rows passing pyarrow's ``filters``, in file order."""
         return pq.read_table(self.table_path(name), columns=columns, filters=filters).to_pandas()
 
-    def cells(self, spark: SparkSession) -> DataFrame:
-        """The consolidated (table, col, value) distinct-cells dataset.
+    @functools.cached_property
+    def _cell_parts(self) -> list[Path]:
+        return sorted(self.cells_path().glob("part-*.parquet"))
 
-        Built once per session: reading it lists the part files and
-        resolves the relation, which every discovery call would otherwise
-        repeat."""
-        if spark not in self._cells:
-            self._cells[spark] = spark.read.schema(_string_schema(_CELLS_COLUMNS)).parquet(
-                str(self.cells_path())
-            )
-        return self._cells[spark]
+    def cells_with_values(self, values: pa.Array) -> pa.Table:
+        """The cells whose value is one of ``values``, as a ``(table, col,
+        value)`` Arrow table in file order.
+
+        One single-threaded pass over the part files, ``_SCAN_BATCH`` cells
+        at a time, so memory is bounded by the batch and not by a part's
+        row groups. ``table`` and ``col`` are read as dictionary codes and
+        decoded only for the matching cells."""
+        out = []
+        for path in self._cell_parts:
+            with pq.ParquetFile(path, read_dictionary=["table", "col"]) as part:
+                for batch in part.iter_batches(batch_size=_SCAN_BATCH, use_threads=False):
+                    at = pc.indices_nonzero(pc.is_in(batch["value"], value_set=values))
+                    if len(at):
+                        hit = batch.take(at)
+                        out.append(pa.record_batch(
+                            [hit["table"].dictionary_decode(), hit["col"].dictionary_decode(),
+                             hit["value"]],
+                            schema=_CELLS_SCHEMA,
+                        ))
+        return pa.Table.from_batches(out, schema=_CELLS_SCHEMA)
 
     def stats(self) -> dict:
         """Table-I style statistics: # tables, # cols, avg rows, size (MB)."""

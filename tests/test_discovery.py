@@ -1,17 +1,20 @@
 """Set Similarity (Alg 3) and Diversify (Alg 4) over the Fig-3 lake."""
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.core import discovery as disc
-from repro.lake.repository import RepositoryBuilder, canon_str
+from repro.lake.repository import _CELLS_FLUSH_EVERY, RepositoryBuilder, canon_str
 from tests import discovery_reference as ref
 from tests.conftest import jobs_started
 
 KEY = ["ID"]
 TAU = 0.3
-MAX_DISCOVERY_JOBS = 1
-MAX_COARSE_JOBS = 3
+MAX_DISCOVERY_JOBS = 0
+MAX_COARSE_JOBS = 0
 
 
 @pytest.fixture(scope="module")
@@ -89,16 +92,16 @@ class TestDiversify:
 
 
 class TestCoarseRetrieve:
-    def test_ranks_by_shared_mass(self, spark, fig3_repo, fig3_source):
-        top = disc.coarse_retrieve(spark, fig3_repo, fig3_source, top_k=3)
+    def test_ranks_by_shared_mass(self, fig3_repo, fig3_source):
+        top = disc.coarse_retrieve(fig3_repo, fig3_source, top_k=3)
         assert "junk" not in top
         assert len(top) == 3
 
-    def test_top_k_limit(self, spark, fig3_repo, fig3_source):
-        assert len(disc.coarse_retrieve(spark, fig3_repo, fig3_source, top_k=1)) == 1
+    def test_top_k_limit(self, fig3_repo, fig3_source):
+        assert len(disc.coarse_retrieve(fig3_repo, fig3_source, top_k=1)) == 1
 
     @pytest.mark.parametrize("top_k", [1, 3, 10])
-    def test_equal_to_pandas_recount(self, spark, tmp_path, top_k):
+    def test_equal_to_pandas_recount(self, tmp_path, top_k):
         lake = {
             # t1, t2 and t3 tie on 2 shared values; "a" in two columns of t1
             # counts once
@@ -119,25 +122,25 @@ class TestCoarseRetrieve:
             t: len(set(pdf.stack()) & src_vals) for t, pdf in lake.items()
         }
         want = sorted((t for t, n in counts.items() if n), key=lambda t: (-counts[t], t))
-        assert disc.coarse_retrieve(spark, repo, source, top_k=top_k) == want[:top_k]
+        assert disc.coarse_retrieve(repo, source, top_k=top_k) == want[:top_k]
 
 
-class TestValueFilter:
+class TestSourceValues:
     def test_distinct_values_nulls_dropped(self):
         src = canon_str(
             pd.DataFrame({"x": ["b", "a", "b", None], "y": [None, "a", float("nan"), "é"]})
         )
-        # sorted distinct non-null values, as hex literals of their UTF-8 bytes
-        assert disc._value_filter(src) == "cast(value AS binary) IN (X'61', X'62', X'c3a9')"
+        values = disc._source_values(src)
+        assert values.type == pa.string()
+        assert values.to_pylist() == ["a", "b", "é"]
 
     def test_no_value(self):
-        assert disc._value_filter(canon_str(pd.DataFrame({"x": [None, None]}))) is None
+        assert len(disc._source_values(canon_str(pd.DataFrame({"x": [None, None]})))) == 0
 
 
 class TestSparkJobs:
-    # discovery's only Spark work is the containment query: one job, the
-    # filtered scan of the cells and its collect. Lake reads and renames
-    # start no job.
+    # discovery scans the cells in process, and lake reads and renames start
+    # no job either
     @pytest.mark.parametrize("restrict_to", [None, ["A", "B", "C", "D", "E"]])
     def test_only_the_containment_query(self, spark, fig3_repo, fig3_source, restrict_to):
         cands, jobs = jobs_started(
@@ -149,21 +152,21 @@ class TestSparkJobs:
         assert "A" in {c.name for c in cands}
         assert len(jobs) <= MAX_DISCOVERY_JOBS
 
-    def test_hits_query_is_a_filtered_scan(self, spark, fig3_repo, fig3_source, monkeypatch):
-        frame_type = type(fig3_repo.cells(spark))
-        collected = []
-        to_pandas = frame_type.toPandas
+    def test_tptr_small_q09_starts_no_job(self, spark, tptr_small):
+        # the coarse ranking, then Set Similarity over its top tables, with
+        # key options aligned and the kept candidates' caches read
+        _root, bench = tptr_small
+        q09 = next(s for s in bench.sources if s.name == "q09")
 
-        def spy(df):
-            collected.append(df)
-            return to_pandas(df)
+        def discover():
+            top = disc.coarse_retrieve(bench.repo, q09.table, top_k=20)
+            return disc.set_similarity(
+                spark, bench.repo, q09.table, q09.key_cols, tau=0.2, restrict_to=top
+            )
 
-        monkeypatch.setattr(frame_type, "toPandas", spy)
-        disc._column_containments(spark, fig3_repo, canon_str(fig3_source), None)
-        (hits,) = collected
-        plan = hits._jdf.queryExecution().executedPlan().toString()
-        assert "Exchange" not in plan
-        assert "Join" not in plan
+        cands, jobs = jobs_started(spark, discover)
+        assert cands
+        assert jobs == []
 
     def test_all_null_source_starts_no_job(self, spark, fig3_repo):
         source = pd.DataFrame({"ID": [None, None], "Name": [None, None]})
@@ -173,12 +176,10 @@ class TestSparkJobs:
         assert cands == []
         assert jobs == []
 
-    # coarse_retrieve ranks the whole lake in Spark over the same filtered
-    # scan: two shuffle-map jobs for the distinct count per table, then the
-    # top-k take
+    # coarse_retrieve ranks the whole lake from the same scan
     def test_coarse_retrieve(self, spark, fig3_repo, fig3_source):
         top, jobs = jobs_started(
-            spark, lambda: disc.coarse_retrieve(spark, fig3_repo, fig3_source, top_k=3)
+            spark, lambda: disc.coarse_retrieve(fig3_repo, fig3_source, top_k=3)
         )
         assert len(top) == 3
         assert len(jobs) <= MAX_COARSE_JOBS
@@ -191,7 +192,7 @@ class TestColumnContainments:
     TRICKY = ["", "O'Brien", "a\\b", "${spark.app.name}", "two\nlines", "é", "漢", "X'41'"]
 
     @pytest.mark.parametrize("restrict_to", [None, ["t"]])
-    def test_equal_to_pandas_recount(self, spark, tmp_path, restrict_to):
+    def test_equal_to_pandas_recount(self, tmp_path, restrict_to):
         tricky = self.TRICKY
         lake = {
             # "2" and "a" repeat within a column
@@ -216,22 +217,99 @@ class TestColumnContainments:
             b.add(name, pdf)
         repo = b.finish()
 
-        got = disc._column_containments(spark, repo, canon_str(source), restrict_to)
-        want = set()
-        for t, pdf in lake.items():
-            if restrict_to is not None and t not in restrict_to:
-                continue
-            for c in pdf.columns:
-                lv = set(pdf[c].dropna())
-                for s in source.columns:
-                    sv = set(source[s].dropna())
-                    n = len(lv & sv)
-                    if n:
-                        jac = n / (len(sv) + len(lv) - n)
-                        want.add((t, c, s, n / len(sv), jac, frozenset(lv & sv)))
+        got = disc._column_containments(repo, canon_str(source), restrict_to)
+        want = _recount_containments(lake, source, restrict_to)
         assert set(got) == want
         assert len(got) == len(want)
         assert got == sorted(got, key=lambda h: (h.src_col, -h.overlap, h.table, h.col))
+
+
+def _recount_containments(lake: dict, source: pd.DataFrame, restrict_to) -> set:
+    """``_column_containments``' hits, recounted from every cell in pandas."""
+    want = set()
+    for t, pdf in lake.items():
+        if restrict_to is not None and t not in restrict_to:
+            continue
+        for c in pdf.columns:
+            lv = set(pdf[c].dropna())
+            for s in source.columns:
+                sv = set(source[s].dropna())
+                n = len(lv & sv)
+                if n:
+                    jac = n / (len(sv) + len(lv) - n)
+                    want.add((t, c, s, n / len(sv), jac, frozenset(lv & sv)))
+    return want
+
+
+class TestAcrossPartFiles:
+    """The scan over a lake whose cells span three part files of several
+    row groups each, one part without a hit, equals a pandas recount of
+    every cell, whether its batches cross row groups or not."""
+
+    TABLES = 2 * _CELLS_FLUSH_EVERY + 50
+
+    @pytest.fixture(scope="class")
+    def lake(self, tmp_path_factory):
+        import pyarrow.parquet as pq
+
+        rng = np.random.default_rng(7)
+        domain = [f"v{i}" for i in range(30)] + TestColumnContainments.TRICKY + [None]
+        lake = {}
+        for i in range(self.TABLES):
+            # the second part file's tables hold no source value
+            dom = [f"n{i}" for i in range(30)] if i // _CELLS_FLUSH_EVERY == 1 else domain
+            rows = int(rng.integers(1, 7))
+            lake[f"t{i:03d}"] = pd.DataFrame(
+                {f"c{j}": rng.choice(np.array(dom, dtype=object), rows)
+                 for j in range(int(rng.integers(1, 4)))}
+            )
+        source = pd.DataFrame(
+            {
+                "x": rng.choice(np.array(domain[:20] + ["s0", "s1"], dtype=object), 12),
+                "y": rng.choice(np.array(domain[15:], dtype=object), 12),
+            }
+        )
+        root = tmp_path_factory.mktemp("parts") / "lake"
+        write_table = pq.write_table
+        with pytest.MonkeyPatch.context() as mp:  # several row groups per part
+            mp.setattr(pq, "write_table", lambda t, p, **kw: write_table(t, p, row_group_size=64))
+            b = RepositoryBuilder(root)
+            for name, pdf in lake.items():
+                b.add(name, pdf)
+            repo = b.finish()
+        parts = sorted(repo.cells_path().glob("part-*.parquet"))
+        assert len(parts) == 3
+        assert all(pq.ParquetFile(p).num_row_groups > 1 for p in parts)
+        return lake, source, repo
+
+    @pytest.fixture(params=[37, None], ids=["batch37", "batch_default"])
+    def batch(self, request, monkeypatch):
+        from repro.lake import repository
+
+        if request.param is not None:
+            monkeypatch.setattr(repository, "_SCAN_BATCH", request.param)
+
+    @pytest.mark.parametrize("restrict_to", ["all", "every_third"])
+    def test_containments(self, lake, batch, restrict_to):
+        lake, source, repo = lake
+        keep = None if restrict_to == "all" else sorted(lake)[::3]
+        got = disc._column_containments(repo, canon_str(source), keep)
+        want = _recount_containments(lake, source, keep)
+        assert set(got) == want
+        assert len(got) == len(want)
+        assert got == sorted(got, key=lambda h: (h.src_col, -h.overlap, h.table, h.col))
+        # every part but the second holds a hit
+        part_of = {h.table: int(h.table[1:]) // _CELLS_FLUSH_EVERY for h in got}
+        assert set(part_of.values()) == {0, 2}
+
+    @pytest.mark.parametrize("top_k", [5, 1000])
+    def test_coarse_retrieve(self, lake, batch, top_k):
+        lake, source, repo = lake
+        src_vals = set(source.stack().dropna())
+        counts = {t: len(set(pdf.stack().dropna()) & src_vals) for t, pdf in lake.items()}
+        want = sorted((t for t, n in counts.items() if n), key=lambda t: (-counts[t], t))
+        assert len(want) > 5
+        assert disc.coarse_retrieve(repo, source, top_k=top_k) == want[:top_k]
 
 
 class TestRowSet:
@@ -397,7 +475,7 @@ class TestRefineMapping:
 
 class TestLakeReads:
     """Discovery reads a lake table only to align a key option or for a
-    kept candidate, and lists the cells dataset once per session."""
+    kept candidate, and lists the cells dataset once per repository."""
 
     def test_tptr_small_q09_reads_eight_tables(self, spark, tptr_small, monkeypatch):
         from repro.lake.repository import TableRepository
@@ -418,29 +496,35 @@ class TestLakeReads:
         assert len(loads) == 8
         assert not [n for n in loads if n.startswith("lineitem__")]
 
-    def test_cells_relation_built_once_per_session(
-        self, spark, fig3_repo, fig3_source, monkeypatch
-    ):
-        from pyspark.sql.readwriter import DataFrameReader
+    def test_cells_listed_once_per_repository(self, fig3_repo, fig3_source, monkeypatch):
+        import pyarrow.parquet as pq
 
-        disc.set_similarity(spark, fig3_repo, fig3_source, KEY, tau=TAU)
-        reads = []
-        parquet = DataFrameReader.parquet
+        from repro.lake.repository import TableRepository
 
-        def counting(self, *paths, **kw):
-            reads.append(paths)
-            return parquet(self, *paths, **kw)
+        repo = TableRepository(fig3_repo.root)
+        listings, opened = [], []
+        glob, parquet_file, read_table = Path.glob, pq.ParquetFile, pq.read_table
 
-        monkeypatch.setattr(DataFrameReader, "parquet", counting)
-        cands = disc.set_similarity(spark, fig3_repo, fig3_source, KEY, tau=TAU)
-        assert "A" in {c.name for c in cands}
-        assert disc.coarse_retrieve(spark, fig3_repo, fig3_source, top_k=3)
-        assert reads == []
+        def counting_glob(self, pattern, *a, **kw):
+            listings.append((self, pattern))
+            return glob(self, pattern, *a, **kw)
 
-        other = spark.newSession()
-        cells = fig3_repo.cells(other)
-        assert cells.sparkSession is other
-        assert len(reads) == 1
-        assert fig3_repo.cells(other) is cells
-        assert fig3_repo.cells(spark) is not cells
-        assert len(reads) == 1
+        def opening(source, *a, **kw):
+            opened.append(Path(source))
+            return parquet_file(source, *a, **kw)
+
+        def reading(source, *a, **kw):
+            opened.append(Path(source))
+            return read_table(source, *a, **kw)
+
+        monkeypatch.setattr(Path, "glob", counting_glob)
+        monkeypatch.setattr(pq, "ParquetFile", opening)
+        monkeypatch.setattr(pq, "read_table", reading)
+        src = canon_str(fig3_source)
+        for _ in range(2):
+            assert disc._column_containments(repo, src, None)
+            assert disc.coarse_retrieve(repo, fig3_source, top_k=3)
+        assert listings == [(repo.cells_path(), "part-*.parquet")]
+        parts = sorted(repo.cells_path().glob("part-*.parquet"))
+        # each call opens every part file and nothing else: no lake table
+        assert opened == parts * 4

@@ -148,6 +148,86 @@ class TestBestPaths:
         assert exp._best_paths("a", {"z"}, {"a": []}, top_p=2) == []
 
 
+def _edge_case(seed: int):
+    """Seeded raw candidates for the join graph: 3–8 tiny renamed frames
+    whose columns draw from small shared pools (so overlaps and Jaccard
+    ties are common), some of them key-bearing. Returns (by_name, ends)."""
+    rng = np.random.default_rng(seed)
+    pools = [[f"{p}{i}" for i in range(size)] for p, size in zip("pqrs", (4, 6, 12, 30))]
+    by_name = {}
+    ends = set()
+    for t in range(int(rng.integers(3, 9))):
+        name = f"T{t}"
+        m = int(rng.integers(1, 40))
+        cols = {}
+        for c in range(int(rng.integers(1, 6))):
+            pool = pools[int(rng.integers(len(pools)))]
+            v = np.array(pool, dtype=object)[rng.integers(len(pool), size=m)]
+            v[rng.random(m) < 0.1] = None
+            cols[f"{name}__u__c{c}"] = v
+        frame = pd.DataFrame(cols, dtype=object)
+        by_name[name] = disc.Candidate(name=name, load=None, mapping={}, col_overlaps={}, pdf=frame)
+        if rng.random() < 0.4:
+            ends.add(name)
+    return by_name, ends
+
+
+class TestEdges:
+    """``_edges`` gives every candidate pair the edge the pairwise
+    reference ``_edge`` gives it: the same columns, weight and tie-break."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, exp._PAIR_CHUNK])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equal_to_pairwise_reference(self, seed, chunk, monkeypatch):
+        from tests import expand_reference as ref
+
+        monkeypatch.setattr(exp, "_PAIR_CHUNK", chunk)
+        if seed % 3 == 0:  # sample the larger columns
+            monkeypatch.setattr(exp, "_SAMPLE", 8)
+            monkeypatch.setattr(ref, "_SAMPLE", 8)
+        by_name, ends = _edge_case(seed)
+        names = sorted(by_name)
+        got = exp._edges(
+            names, {n: exp._value_sets(c, exp._columns(c.pdf)) for n, c in by_name.items()}, ends
+        )
+        ref_sets = {n: ref._value_sets(c, c.pdf) for n, c in by_name.items()}
+        want = {}
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                if a in ends and b in ends:
+                    continue
+                e = ref._edge(by_name[a], by_name[b], ref_sets)
+                if e:
+                    want[a, b] = e
+        assert list(got.items()) == list(want.items())
+
+    def test_cases_have_ties_and_edges(self):
+        """The generator makes pairs whose best weight is tied by several
+        column pairs: of equal extents (the first in column order wins),
+        and of different extents (the larger wins)."""
+        from tests import expand_reference as ref
+
+        edges = same_ext = other_ext = 0
+        for seed in range(12):
+            by_name, _ends = _edge_case(seed)
+            sets = {n: ref._value_sets(c, c.pdf) for n, c in by_name.items()}
+            names = sorted(by_name)
+            for i, a in enumerate(names):
+                for b in names[i + 1 :]:
+                    ws = [
+                        (len(va & vb) / len(va | vb), min(len(va), len(vb)))
+                        for va in sets[a].values() for vb in sets[b].values()
+                        if va & vb
+                    ]
+                    if not ws or max(ws)[0] < exp.MIN_JOIN_JACCARD:
+                        continue
+                    edges += 1
+                    exts = [e for w, e in ws if w == max(ws)[0]]
+                    same_ext += exts.count(max(exts)) > 1
+                    other_ext += len(set(exts)) > 1
+        assert edges >= 30 and same_ext >= 10 and other_ext >= 5
+
+
 class TestJoinNulls:
     """An Expand path is the SQL equi-join of its tables' frames: a null
     join value matches nothing, and a column both sides hold is coalesced,

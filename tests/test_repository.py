@@ -1,6 +1,8 @@
 """Parquet repository: canonicalization, round-trips, cells dataset."""
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from repro.lake.repository import (
@@ -11,6 +13,11 @@ from repro.lake.repository import (
     to_spark,
 )
 from tests.conftest import jobs_started, stale_layout
+
+
+def _cells(repo: TableRepository) -> pd.DataFrame:
+    """The whole cells dataset, read through pyarrow."""
+    return pq.read_table(repo.cells_path()).to_pandas()
 
 
 class TestCanonStr:
@@ -76,8 +83,8 @@ class TestRepository:
         assert {tuple(r) for r in df.collect()} == {("1", "x"), ("2", None)}
         assert all(f.dataType.typeName() == "string" for f in df.schema.fields)
 
-    def test_cells_distinct_nonnull(self, spark, repo):
-        cells = repo.cells(spark).toPandas()
+    def test_cells_distinct_nonnull(self, repo):
+        cells = _cells(repo)
         t1 = cells[cells["table"] == "t1"]
         assert set(map(tuple, t1[["col", "value"]].values)) == {
             ("k", "1"),
@@ -85,12 +92,8 @@ class TestRepository:
             ("v", "x"),  # null cell not emitted
         }
 
-    def test_cells_cover_all_tables(self, spark, repo):
-        cells = repo.cells(spark)
-        assert {r["table"] for r in cells.select("table").distinct().collect()} == {
-            "t1",
-            "t2",
-        }
+    def test_cells_cover_all_tables(self, repo):
+        assert set(_cells(repo)["table"]) == {"t1", "t2"}
 
     def test_stats(self, repo):
         s = repo.stats()
@@ -105,17 +108,21 @@ class TestRepository:
 
     def test_load_and_cells_start_no_spark_job(self, spark, repo):
         # the schema comes from the manifest, so no Parquet footer is read
-        # by a schema-inference job
-        (df, cells), jobs = jobs_started(
-            spark, lambda: (repo.load(spark, "t1"), repo.cells(spark))
+        # by a schema-inference job; the cells are scanned in process
+        (df, hits), jobs = jobs_started(
+            spark,
+            lambda: (repo.load(spark, "t1"), repo.cells_with_values(pa.array(["1", "y"]))),
         )
         assert jobs == []
         assert df.columns == ["k", "v"]
-        assert cells.columns == ["table", "col", "value"]
+        assert hits.to_pylist() == [
+            {"table": "t1", "col": "k", "value": "1"},
+            {"table": "t2", "col": "b", "value": "y"},
+        ]
 
 
 class TestExtents:
-    def test_distinct_nonnull_counts(self, spark, tmp_path):
+    def test_distinct_nonnull_counts(self, tmp_path):
         pdf = pd.DataFrame(
             {
                 "k": [1, 2, 3, 4],
@@ -130,8 +137,7 @@ class TestExtents:
         canon = canon_str(pdf)
         assert all(repo.extent("t", c) == canon[c].dropna().nunique() for c in pdf)
         # and equal to the column's rows in the cells dataset
-        per_col = repo.cells(spark).groupBy("col").count().toPandas()
-        assert dict(zip(per_col["col"], per_col["count"])) == {"k": 4, "rep": 2}
+        assert _cells(repo)["col"].value_counts().to_dict() == {"k": 4, "rep": 2}
 
     def test_manifest_without_extents_fails_loudly(self, tmp_path):
         b = RepositoryBuilder(tmp_path / "lake")
