@@ -9,8 +9,8 @@ import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_spark
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from repro.session import get_spark
 
 
 def main() -> None:

@@ -50,7 +50,6 @@ def auto_pipeline(
     key_cols: Sequence[str],
     *,
     budget_s: float | None = None,
-    max_expansions: int = MAX_EXPANSIONS,
 ) -> DataFrame | None:
     """Synthesize the best pipeline result. None on timeout/no input."""
     deadline = None if budget_s is None else time.monotonic() + budget_s
@@ -76,7 +75,7 @@ def auto_pipeline(
 
     expansions = 0
     improved = True
-    while improved and expansions < max_expansions:
+    while improved and expansions < MAX_EXPANSIONS:
         improved = False
         pool.sort(key=lambda e: -e.score)
         pool = pool[:MAX_POOL]
@@ -129,9 +128,9 @@ def auto_pipeline(
                         _Entry(cand_df.localCheckpoint(eager=True), s, a.ops_applied + b.ops_applied + 1)
                     )
                     improved = True
-                if expansions >= max_expansions:
+                if expansions >= MAX_EXPANSIONS:
                     break
-            if improved or expansions >= max_expansions:
+            if improved or expansions >= MAX_EXPANSIONS:
                 break
 
     best = max(pool, key=lambda e: e.score)

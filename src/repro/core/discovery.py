@@ -43,36 +43,33 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.operators import first_rows, null_none
+from repro.core.operators import first_rows, match_rates, null_none
 from repro.lake.repository import TableRepository, canon_str
 
 UNMAPPED_SEP = "__u__"  # unmapped columns keep "{table}__u__{col}" names
 KEY_OPTION_EPS = 0.05  # containment slack for tied key-column options
 MIN_KEY_MATCH = 0.15  # min mean cell-match rate to accept a key mapping
 PANDAS_CAP = 300_000  # rows; larger candidate tables skip the pandas cache
+K_PER_COL = 10  # tables diversified per source column (Alg 4)
 
 
 @dataclass(eq=False)
 class Candidate:
-    """A candidate originating table, schema-matched to the source."""
+    """A candidate originating table, schema-matched to the source.
+
+    ``name`` is a lake table's, or for an expanded candidate its join path
+    (``"+".join(path)``, Expand)."""
 
     name: str
     load: Callable[[], DataFrame] = field(repr=False)  # builds ``df``
     mapping: dict[str, str]  # source col -> original lake col
     col_overlaps: dict[str, float]  # source col -> containment score
-    matched_values: dict[str, frozenset] = field(default_factory=dict)
     score: float = 0.0
-    provenance: tuple[str, ...] = ()  # underlying lake tables (for Expand)
     pdf: pd.DataFrame | None = field(default=None, repr=False)  # renamed pandas cache
-
-    def __post_init__(self):
-        if not self.provenance:
-            self.provenance = (self.name,)
 
     @functools.cached_property
     def df(self) -> DataFrame:
@@ -183,7 +180,7 @@ MIN_COL_MATCH = 0.1  # min per-column cell-match rate to keep a mapping
 
 def _refine_mapping(
     load: Callable[[], pd.DataFrame],
-    options: dict[str, list[tuple[str, float, frozenset, float]]],
+    options: dict[str, list[tuple[str, float, float]]],
     src: pd.DataFrame,
     key_cols: list[str],
 ) -> dict[str, str] | None:
@@ -193,24 +190,25 @@ def _refine_mapping(
     key option is aligned, so a candidate settled from its options alone
     costs no read. ``src`` is the canonical source (``canon_str``).
 
-    ``options[src_col]`` lists (lake_col, containment, matched_vals,
-    jaccard) by containment desc. Key mappings are scored by aligning the
-    candidate on each near-tied key option and measuring per-column cell
-    match rates against the source — every non-key option is tried and the
+    ``options[src_col]`` lists (lake_col, containment, jaccard) by
+    containment desc. Key mappings are scored by aligning the candidate on
+    each near-tied key option and measuring per-column cell match rates
+    against the source — every non-key option is tried and the
     best-matching one wins its source column (this is Alg 3's
     within-aligned-tuples verification, strengthened to positional
     matching; DESIGN.md §6). An option aligns each source key's first row
-    with the table's first row on the same key, null key parts equal (the
-    inner ``merge`` of both sides' ``drop_duplicates``). Keyless candidates
-    fall back to a Jaccard-greedy assignment (containment alone is blind to
-    a dense id column that "contains" every small-int source column).
+    with the table's first row on the same key, null key parts equal
+    (``match_rates``; the inner ``merge`` of both sides'
+    ``drop_duplicates``). Keyless candidates fall back to a Jaccard-greedy
+    assignment (containment alone is blind to a dense id column that
+    "contains" every small-int source column).
     Returns {src_col: lake_col} or None to discard the candidate.
     """
     nk_src = [s for s in options if s not in key_cols]
 
     def jac_mapping() -> dict[str, str]:
         triples = sorted(
-            ((s, col, jac) for s in nk_src for col, _ov, _vals, jac in options[s]),
+            ((s, col, jac) for s in nk_src for col, _ov, jac in options[s]),
             key=lambda t: (-t[2], t[0], t[1]),
         )
         used: set[str] = set()
@@ -229,12 +227,11 @@ def _refine_mapping(
     for k in key_cols:
         best_ov = options[k][0][1]
         per_key_opts[k] = [
-            col for col, ov, _v, _j in options[k] if ov >= best_ov - KEY_OPTION_EPS
+            col for col, ov, _j in options[k] if ov >= best_ov - KEY_OPTION_EPS
         ][:3]
 
     opt_cols = {col for s in nk_src for col, *_ in options[s]}
     src_first = first_rows(src, key_cols)
-    src_vals = {s: src[s].to_numpy(dtype=object) for s in nk_src}
     tbl = None
     best_score, best_result = -1.0, None
     for combo in itertools.product(*[per_key_opts[k] for k in key_cols]):
@@ -242,32 +239,18 @@ def _refine_mapping(
             continue
         if tbl is None:
             tbl = load()
-        pairs = [
-            (i, src_first[k]) for k, i in first_rows(tbl, combo).items() if k in src_first
-        ]
-        if not pairs:
+        pairs = [(col, s) for s in nk_src for col, *_ in options[s] if col not in combo]
+        n_aligned, rates = match_rates(tbl, combo, src, src_first, pairs)
+        if not n_aligned:
             continue
-        at, src_at = (np.array(p) for p in zip(*pairs))
         # coverage factor: matching 4 of 10 source keys is weak evidence of
         # a real key alignment, however well those 4 rows agree
-        coverage = len(pairs) / max(1, len(src_first))
+        coverage = n_aligned / max(1, len(src_first))
         # per source col: best-matching option column by cell match rate
         assign: dict[str, tuple[str, float]] = {}
-        for s in nk_src:
-            svals = src_vals[s][src_at]
-            nonnull = pd.notna(svals)
-            denom = int(nonnull.sum())
-            if denom == 0:
-                continue
-            for col, _ov, _vals, _j in options[s]:
-                if col in combo:
-                    continue
-                hits = (tbl[col].to_numpy(dtype=object)[at] == svals) & nonnull
-                rate = float(hits.sum()) / denom
-                if rate >= MIN_COL_MATCH and (
-                    s not in assign or rate > assign[s][1]
-                ):
-                    assign[s] = (col, rate)
+        for (col, s), rate in rates.items():
+            if rate >= MIN_COL_MATCH and (s not in assign or rate > assign[s][1]):
+                assign[s] = (col, rate)
         if not assign:
             continue
         # one source col per lake col: higher rate wins
@@ -298,7 +281,6 @@ def set_similarity(
     key_cols: list[str],
     *,
     tau: float = 0.2,
-    k_per_col: int = 10,
     max_candidates: int = 25,
     restrict_to: list[str] | None = None,
 ) -> list[Candidate]:
@@ -310,18 +292,18 @@ def set_similarity(
 
     # per source column: options per table, ranked + diversified
     table_scores: dict[str, list[float]] = {}
-    options: dict[str, dict[str, list[tuple[str, float, frozenset, float]]]] = {}
+    options: dict[str, dict[str, list[tuple[str, float, float]]]] = {}
     for src_col, grp in itertools.groupby(stats, key=lambda h: h.src_col):
         ranked: list[dict] = []
         seen: set[str] = set()
         for h in grp:
             options.setdefault(h.table, {}).setdefault(src_col, []).append(
-                (h.col, h.overlap, h.vals, h.jac)
+                (h.col, h.overlap, h.jac)
             )
-            # each table's best column, for the first ``k_per_col`` tables
+            # each table's best column, for the first ``K_PER_COL`` tables
             if h.table not in seen:
                 seen.add(h.table)
-                if len(ranked) < k_per_col:
+                if len(ranked) < K_PER_COL:
                     ranked.append(
                         {"table": h.table, "col": h.col, "overlap": h.overlap, "vals": h.vals}
                     )
@@ -341,11 +323,7 @@ def set_similarity(
             continue
         opt = options[name]
         overlaps = {
-            s: next((ov for c, ov, _v, _j in opt.get(s, []) if c == col), 0.0)
-            for s, col in mapping.items()
-        }
-        matched = {
-            s: next((v for c, _ov, v, _j in opt.get(s, []) if c == col), frozenset())
+            s: next((ov for c, ov, _j in opt.get(s, []) if c == col), 0.0)
             for s, col in mapping.items()
         }
         cands.append(
@@ -354,7 +332,6 @@ def set_similarity(
                 load=functools.partial(_load_renamed, spark, repo, name, mapping),
                 mapping=mapping,
                 col_overlaps=overlaps,
-                matched_values=matched,
                 score=sum(table_scores[name]) / len(table_scores[name]),
                 pdf=(
                     _rename_pdf(load(), name, mapping)

@@ -37,14 +37,17 @@ whole join whose key is one of S's, in the same order:
   instead, by that table's non-null values; the later holders are cut by
   the joined rows, after their hop.
 
-An expanded candidate keeps its cut frame as ``pdf``, which Gen-T reads.
-Its ``load`` builds the *whole* join on first read, so ``Candidate.df``
-(Ver's view) keeps the full view extent.
+An expanded candidate is named by its path (``"+".join(path)``) and keeps
+its cut frame as ``pdf``, which Gen-T reads. Its ``load`` builds the
+*whole* join on first read, so ``Candidate.df`` (Ver's view) keeps the
+full view extent.
 
 Path scoring departs from a plain max-sum DFS in one way: each extra hop
 subtracts ``HOP_PENALTY``, and paths are capped at ``MAX_HOPS`` edges —
 an unpenalised sum prefers absurd many-table chains, and the paper's own
-sources join at most 3 tables.
+sources join at most 3 tables. A keyless candidate keeps its best path to
+each of at most ``TOP_PATHS`` end nodes, and one ``expand`` call keeps at
+most ``MAX_EXPANSIONS`` paths.
 """
 from __future__ import annotations
 
@@ -56,7 +59,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.discovery import Candidate, renamed_frame
-from repro.core.operators import first_rows
+from repro.core.operators import first_rows, match_rates, null_none
 from repro.lake.repository import TableRepository, to_spark
 
 if TYPE_CHECKING:
@@ -67,15 +70,16 @@ MIN_JOIN_EXTENT = 4  # never equi-join on a near-constant column
 HOP_PENALTY = 0.1
 MAX_HOPS = 3
 MAX_EXPANSIONS = 16
+TOP_PATHS = 4  # paths kept per keyless candidate, one per end node
 _SAMPLE = 20_000
 _PAIR_CHUNK = 1 << 18  # column pairs counted at once in ``_edges``
 
 Columns = dict[str, np.ndarray]  # a frame's columns, in order
 
 
-def _value_sets(cand: Candidate, frame: Columns) -> dict[str, np.ndarray]:
-    """Joinable-column value sets of a raw candidate (sampled), as arrays
-    of distinct values in row order.
+def _value_sets(frame: Columns) -> dict[str, np.ndarray]:
+    """Joinable-column value sets of a candidate (sampled), as arrays of
+    distinct values in row order.
 
     ``frame`` is the candidate's renamed frame (``renamed_frame``). A column
     qualifies as a join candidate if it has at least MIN_JOIN_EXTENT
@@ -83,8 +87,6 @@ def _value_sets(cand: Candidate, frame: Columns) -> dict[str, np.ndarray]:
     floor rejects categorical domains in big tables without disqualifying
     the only (tiny) join column of a 3-row web table. A column with more
     than ``_SAMPLE`` distinct values keeps its first ``_SAMPLE``."""
-    if len(cand.provenance) != 1:
-        return {}
     n_rows = max(1, _rows(frame))
     out = {}
     for col, arr in frame.items():
@@ -216,35 +218,27 @@ def _isin(arr: np.ndarray, values: set, nulls: bool = False) -> np.ndarray:
     return out | pd.isna(arr) if nulls else out
 
 
-def _nulled(arr: np.ndarray) -> np.ndarray:
-    out = arr.astype(object)
-    out[pd.isna(out)] = None
-    return out
-
-
 def expand(
     spark: SparkSession,
     repo: TableRepository,
     cands: list[Candidate],
     key_cols: list[str],
     *,
-    top_p: int = 4,
-    source: pd.DataFrame | None = None,
+    source: pd.DataFrame,
 ) -> list[Candidate]:
     """Replace keyless candidates by their best join-expansion to the key.
 
     Candidates with no path to a key-bearing candidate are dropped (their
-    tuples can never align with the source). ``source``, when given, is
-    the canonical source (``canon_str``); it cuts each path's joined frame
-    to its keys and prunes an expanded path's mapped columns that do not
-    match it. Without it a path's frame is its whole join."""
+    tuples can never align with the source). ``source`` is the canonical
+    source (``canon_str``); it cuts each path's joined frame to its keys
+    and prunes an expanded path's mapped columns that do not match it."""
     with_key = [c for c in cands if all(k in c.mapping for k in key_cols)]
     without = [c for c in cands if not all(k in c.mapping for k in key_cols)]
     if not without or not with_key:
         return with_key
 
     frames = {c.name: _columns(renamed_frame(c, repo)) for c in cands}
-    vsets = {c.name: _value_sets(c, frames[c.name]) for c in cands}
+    vsets = {n: _value_sets(f) for n, f in frames.items()}
     by_name = {c.name: c for c in cands}
     ends = {c.name for c in with_key}
     adj: dict[str, list[tuple[str, float]]] = {}
@@ -256,7 +250,7 @@ def expand(
         edges[(na, nb)] = (ca, cb, w)
         edges[(nb, na)] = (cb, ca, w)
 
-    keys = None if source is None else _SourceKeys(source, key_cols)
+    keys = _SourceKeys(source, key_cols)
     out = list(with_key)
     n_expanded = 0
     # strongest keyless candidates expand first; global cap keeps the
@@ -264,7 +258,7 @@ def expand(
     for c in sorted(without, key=lambda x: (-x.score, x.name)):
         if n_expanded >= MAX_EXPANSIONS:
             break
-        for path in _best_paths(c.name, ends, adj, top_p=top_p):
+        for path in _best_paths(c.name, ends, adj, top_p=TOP_PATHS):
             cand = _materialise_path(
                 spark, c, path, by_name, frames, edges, key_cols, source, keys
             )
@@ -368,7 +362,7 @@ def _cut_path(
         if not keep.all():
             cols = {c: v[keep] for c, v in cols.items()}
     at = np.fromiter(
-        (t in keys.first for t in zip(*(_nulled(cols[k]) for k in key_cols))),
+        (t in keys.first for t in zip(*(null_none(cols[k]) for k in key_cols))),
         dtype=bool,
         count=len(cols[key_cols[0]]),
     )
@@ -393,8 +387,8 @@ def _materialise_path(
     frames: dict[str, Columns],
     edges: dict[tuple[str, str], tuple[str, str, float]],
     key_cols: list[str],
-    source: pd.DataFrame | None = None,
-    keys: _SourceKeys | None = None,
+    source: pd.DataFrame,
+    keys: _SourceKeys,
 ) -> Candidate | None:
     """Join along the path, then keep only the start table's mapped columns
     plus the key. The tables joined through are candidates in their own
@@ -402,22 +396,16 @@ def _materialise_path(
     their (possibly erroneous) values twice (DESIGN.md §6).
 
     ``frames`` holds each candidate's renamed frame (``renamed_frame``), as
-    columns; ``source`` is the canonical source, or None to skip the cut
-    and the pruning; ``keys`` is its ``_SourceKeys``, built once per
-    ``expand``."""
-    if source is not None and keys is None:
-        keys = _SourceKeys(source, key_cols)
+    columns; ``source`` is the canonical source and ``keys`` its
+    ``_SourceKeys``, built once per ``expand``."""
     mapping = dict(start.mapping)
     overlaps = dict(start.col_overlaps)
-    matched = dict(start.matched_values)
     for nxt in path[1:]:
         nxt_c = by_name[nxt]
         for k in key_cols:
             if k not in mapping and k in nxt_c.mapping:
                 mapping[k] = nxt_c.mapping[k]
                 overlaps[k] = nxt_c.col_overlaps.get(k, 0.0)
-                if k in nxt_c.matched_values:
-                    matched[k] = nxt_c.matched_values[k]
     if not all(k in mapping for k in key_cols):
         return None
     tables = [frames[n] for n in path]
@@ -427,42 +415,22 @@ def _materialise_path(
     keep = [c for c in keep if c in held]
     if not all(k in keep for k in key_cols):
         return None
-    if source is None:
-        pdf = _join_path(tables, hops)
-    else:
-        pdf = _cut_path(tables, hops, key_cols, keys)
+    pdf = _cut_path(tables, hops, key_cols, keys)
     # prune mapped columns that do not actually match the source under the
     # now-available key alignment (a keyless candidate's containment-only
-    # mapping can be wrong; cheap to check once the chain has a key)
-    if source is not None:
-        src_first = keys.first
-        pairs = [
-            (i, src_first[k])
-            for k, i in first_rows(pdf, key_cols).items()
-            if k in src_first
-        ]
-        if pairs:
-            at, src_at = (np.array(p) for p in zip(*pairs))
-            for c in list(keep):
-                if c in key_cols or c not in source.columns:
-                    continue  # a column S lacks has nothing to contradict
-                s_vals = source[c].to_numpy(dtype=object)[src_at]
-                nonnull = pd.notna(s_vals)
-                denom = int(nonnull.sum())
-                if denom == 0:
-                    continue
-                hits = (pdf[c].to_numpy(dtype=object)[at] == s_vals) & nonnull
-                if float(hits.sum()) / denom < 0.05:
-                    keep.remove(c)
-            if len(keep) <= len(key_cols):
-                return None
+    # mapping can be wrong; cheap to check once the chain has a key); a
+    # column S lacks has nothing to contradict
+    pairs = [(c, c) for c in keep if c not in key_cols and c in source.columns]
+    n_aligned, rates = match_rates(pdf, key_cols, source, keys.first, pairs)
+    if n_aligned:
+        keep = [c for c in keep if (c, c) not in rates or rates[c, c] >= 0.05]
+        if len(keep) <= len(key_cols):
+            return None
     return Candidate(
         name="+".join(path),
         load=functools.partial(_load_whole, spark, tables, hops, keep),
         mapping={s: c for s, c in mapping.items() if s in keep},
         col_overlaps={s: v for s, v in overlaps.items() if s in keep},
-        matched_values={s: v for s, v in matched.items() if s in keep},
         score=start.score,
-        provenance=tuple(p for n in path for p in by_name[n].provenance),
         pdf=pdf[keep],
     )

@@ -165,9 +165,9 @@ complement_pdf = _on_frame(complement_rows)
 minimal_form_pdf = _on_frame(minimal_form_rows)
 
 
-def null_none(col: pd.Series) -> np.ndarray:
+def null_none(col: pd.Series | np.ndarray) -> np.ndarray:
     """A column as an object array with None for every null (NaN, NaT, NA)."""
-    out = col.to_numpy(dtype=object, copy=True)
+    out = np.array(col, dtype=object)
     out[pd.isna(out)] = None
     return out
 
@@ -177,6 +177,37 @@ def first_rows(pdf: pd.DataFrame, key_cols: Sequence[str]) -> dict[tuple, int]:
     equal, as in a pandas ``merge``."""
     keys = list(zip(*(null_none(pdf[k]) for k in key_cols)))
     return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+
+
+def match_rates(
+    tbl: pd.DataFrame,
+    tbl_keys: Sequence[str],
+    src: pd.DataFrame,
+    src_first: dict[tuple, int],
+    pairs: Iterable[tuple[str, str]],
+) -> tuple[int, dict[tuple[str, str], float]]:
+    """How well ``tbl`` agrees with the source under one key alignment.
+
+    Each source key's first row (``src_first``, the source's
+    ``first_rows``) is aligned with that key's first row in ``tbl`` on
+    ``tbl_keys``. Returns the number of keys aligned and, per (table
+    column, source column) pair, the cell match rate: the share of the
+    aligned non-null source cells that the table's cell equals. A pair
+    whose aligned source cells are all null gets no rate.
+    """
+    aligned = [(i, src_first[k]) for k, i in first_rows(tbl, tbl_keys).items() if k in src_first]
+    rates: dict[tuple[str, str], float] = {}
+    if not aligned:
+        return 0, rates
+    at, src_at = (np.array(p) for p in zip(*aligned))
+    for c, s in pairs:
+        s_vals = src[s].to_numpy(dtype=object)[src_at]
+        nonnull = pd.notna(s_vals)
+        denom = int(nonnull.sum())
+        if denom:
+            hits = (tbl[c].to_numpy(dtype=object)[at] == s_vals) & nonnull
+            rates[c, s] = float(hits.sum()) / denom
+    return len(aligned), rates
 
 
 def project_select_pdf(

@@ -18,7 +18,7 @@ _SRC_SUFFIX = "\x00src"
 
 def refine_mapping(
     tbl: pd.DataFrame,
-    options: dict[str, list[tuple[str, float, frozenset, float]]],
+    options: dict[str, list[tuple[str, float, float]]],
     src: pd.DataFrame,
     key_cols: list[str],
 ) -> dict[str, str] | None:
@@ -29,7 +29,7 @@ def refine_mapping(
             (
                 (s, col, jac)
                 for s in nk_src
-                for col, _ov, _vals, jac in options[s]
+                for col, _ov, jac in options[s]
                 if col not in exclude
             ),
             key=lambda t: (-t[2], t[0], t[1]),
@@ -50,7 +50,7 @@ def refine_mapping(
     for k in key_cols:
         best_ov = options[k][0][1]
         per_key_opts[k] = [
-            col for col, ov, _v, _j in options[k] if ov >= best_ov - KEY_OPTION_EPS
+            col for col, ov, _j in options[k] if ov >= best_ov - KEY_OPTION_EPS
         ][:3]
 
     src_keyed = src.drop_duplicates(key_cols)
@@ -84,7 +84,7 @@ def refine_mapping(
             denom = int(nonnull.sum())
             if denom == 0:
                 continue
-            for col, _ov, _vals, _j in options[s]:
+            for col, _ov, _j in options[s]:
                 if col in combo:
                     continue
                 rate = float(((merged[col] == svals) & nonnull).sum()) / denom

@@ -22,6 +22,7 @@ from repro.core.expand import (
     MAX_HOPS,
     MIN_JOIN_EXTENT,
     MIN_JOIN_JACCARD,
+    TOP_PATHS,
     _SAMPLE,
 )
 from repro.core.operators import first_rows
@@ -31,16 +32,14 @@ if TYPE_CHECKING:
     from pyspark.sql import SparkSession
 
 
-def _value_sets(cand: Candidate, pdf: pd.DataFrame) -> dict[str, frozenset]:
-    """Joinable-column value sets of a raw candidate (sampled).
+def _value_sets(pdf: pd.DataFrame) -> dict[str, frozenset]:
+    """Joinable-column value sets of a candidate (sampled).
 
     ``pdf`` is the candidate's renamed frame (``renamed_frame``). A column
     qualifies as a join candidate if it has at least MIN_JOIN_EXTENT
     distinct values *or* is near-unique within its table — the absolute
     floor rejects categorical domains in big tables without disqualifying
     the only (tiny) join column of a 3-row web table."""
-    if len(cand.provenance) != 1:
-        return {}
     n_rows = max(1, len(pdf))
     out = {}
     for col in pdf.columns:
@@ -130,7 +129,6 @@ def expand(
     cands: list[Candidate],
     key_cols: list[str],
     *,
-    top_p: int = 4,
     source: pd.DataFrame | None = None,
 ) -> list[Candidate]:
     """Replace keyless candidates by their best join-expansion to the key.
@@ -145,7 +143,7 @@ def expand(
         return with_key
 
     frames = {c.name: renamed_frame(c, repo) for c in cands}
-    vsets = {c.name: _value_sets(c, frames[c.name]) for c in cands}
+    vsets = {n: _value_sets(f) for n, f in frames.items()}
     by_name = {c.name: c for c in cands}
     adj: dict[str, list[tuple[str, float]]] = {}
     edges: dict[tuple[str, str], tuple[str, str, float]] = {}
@@ -168,7 +166,7 @@ def expand(
     for c in sorted(without, key=lambda x: (-x.score, x.name)):
         if n_expanded >= MAX_EXPANSIONS:
             break
-        for path in _best_paths(c.name, ends, adj, top_p=top_p):
+        for path in _best_paths(c.name, ends, adj, top_p=TOP_PATHS):
             cand = _materialise_path(
                 spark, c, path, by_name, frames, edges, key_cols, source
             )
@@ -228,7 +226,6 @@ def _materialise_path(
     pdf = frames[start.name]
     mapping = dict(start.mapping)
     overlaps = dict(start.col_overlaps)
-    matched = dict(start.matched_values)
     for prev, nxt in zip(path, path[1:]):
         ca, cb, _w = edges[(prev, nxt)]
         nxt_c = by_name[nxt]
@@ -237,8 +234,6 @@ def _materialise_path(
             if k not in mapping and k in nxt_c.mapping:
                 mapping[k] = nxt_c.mapping[k]
                 overlaps[k] = nxt_c.col_overlaps.get(k, 0.0)
-                if k in nxt_c.matched_values:
-                    matched[k] = nxt_c.matched_values[k]
     if not all(k in mapping for k in key_cols):
         return None
     keep = list(dict.fromkeys(list(key_cols) + [s for s in start.mapping]))
@@ -276,8 +271,6 @@ def _materialise_path(
         load=functools.partial(to_spark, spark, joined),
         mapping={s: c for s, c in mapping.items() if s in keep},
         col_overlaps={s: v for s, v in overlaps.items() if s in keep},
-        matched_values={s: v for s, v in matched.items() if s in keep},
         score=start.score,
-        provenance=tuple(p for n in path for p in by_name[n].provenance),
         pdf=joined,
     )

@@ -19,9 +19,7 @@ MAX_COARSE_JOBS = 0
 
 @pytest.fixture(scope="module")
 def candidates(spark, fig3_repo, fig3_source):
-    return disc.set_similarity(
-        spark, fig3_repo, fig3_source, KEY, tau=TAU, k_per_col=10
-    )
+    return disc.set_similarity(spark, fig3_repo, fig3_source, KEY, tau=TAU)
 
 
 class TestSetSimilarity:
@@ -337,7 +335,7 @@ class TestUncachedSubsumption:
         self, spark, fig3_repo, fig3_source, candidates, monkeypatch
     ):
         monkeypatch.setattr(disc, "PANDAS_CAP", 2)
-        capped = disc.set_similarity(spark, fig3_repo, fig3_source, KEY, tau=TAU, k_per_col=10)
+        capped = disc.set_similarity(spark, fig3_repo, fig3_source, KEY, tau=TAU)
         assert {c.name for c in capped if c.pdf is None} >= {"A", "C", "D"}
         assert [c.name for c in capped] == [c.name for c in candidates]
         assert set(c.name for c in capped) == {"A", "C", "D"}
@@ -400,9 +398,7 @@ def _refine_case(kind: str, seed: int):
             ovs = [1.0] * len(cols)
         else:
             ovs = sorted(rng.choice([1.0, 1.0, 0.97, 0.9, 0.6, 0.3], len(cols)), reverse=True)
-        options[s] = [
-            (str(c), float(ov), frozenset(), float(rng.random())) for c, ov in zip(cols, ovs)
-        ]
+        options[s] = [(str(c), float(ov), float(rng.random())) for c, ov in zip(cols, ovs)]
     return tbl, options, canon_str(src), key_cols
 
 
@@ -444,8 +440,8 @@ class TestRefineMapping:
             {"c0": ["1", "2", "1"], "c1": ["x", "y", "w"], "c2": ["q", "y", "x"]}
         )
         options = {
-            "k": [("c0", 1.0, frozenset(), 1.0)],
-            "a": [("c1", 1.0, frozenset(), 0.5), ("c2", 1.0, frozenset(), 0.5)],
+            "k": [("c0", 1.0, 1.0)],
+            "a": [("c1", 1.0, 0.5), ("c2", 1.0, 0.5)],
         }
         want = ref.refine_mapping(tbl, options, src, ["k"])
         assert want == {"k": "c0", "a": "c1"}
@@ -455,11 +451,11 @@ class TestRefineMapping:
         "options",
         [
             # the key has no option: keyless, Jaccard-greedy
-            {"a": [("c1", 1.0, frozenset(), 0.9), ("c2", 0.9, frozenset(), 0.4)]},
+            {"a": [("c1", 1.0, 0.9), ("c2", 0.9, 0.4)]},
             # only the key has options: nothing to verify
-            {"k": [("c0", 1.0, frozenset(), 1.0)]},
+            {"k": [("c0", 1.0, 1.0)]},
             # the only key option is the only non-key option
-            {"k": [("c0", 1.0, frozenset(), 1.0)], "a": [("c0", 0.5, frozenset(), 0.2)]},
+            {"k": [("c0", 1.0, 1.0)], "a": [("c0", 0.5, 0.2)]},
         ],
     )
     def test_no_read_without_a_key_option_to_align(self, options):

@@ -16,8 +16,8 @@ def cands(spark, fig3_repo, fig3_source):
 
 
 @pytest.fixture(scope="module")
-def expanded(spark, fig3_repo, cands):
-    return exp.expand(spark, fig3_repo, cands, KEY)
+def expanded(spark, fig3_repo, cands, fig3_source):
+    return exp.expand(spark, fig3_repo, cands, KEY, source=fig3_source)
 
 
 class TestExpand:
@@ -46,19 +46,21 @@ class TestExpand:
         }
         assert ("2", "Female") in rows
 
-    def test_provenance_tracks_path(self, expanded):
+    def test_name_tracks_path(self, cands, expanded):
         dlike = next(c for c in expanded if "+" in c.name)
-        assert len(dlike.provenance) >= 2
+        path = dlike.name.split("+")
+        assert len(path) >= 2
+        assert set(path) <= {c.name for c in cands}
 
-    def test_no_keyed_candidates_passthrough(self, spark, fig3_repo, cands):
+    def test_no_keyed_candidates_passthrough(self, spark, fig3_repo, cands, fig3_source):
         with_key = [c for c in cands if "ID" in c.mapping]
-        out = exp.expand(spark, fig3_repo, with_key, KEY)
+        out = exp.expand(spark, fig3_repo, with_key, KEY, source=fig3_source)
         assert {c.name for c in out} == {c.name for c in with_key}
 
-    def test_unreachable_candidate_dropped(self, spark, fig3_repo, cands):
+    def test_unreachable_candidate_dropped(self, spark, fig3_repo, cands, fig3_source):
         # a keyless candidate with no join edge to a keyed one disappears
         keyless = [c for c in cands if "ID" not in c.mapping]
-        out = exp.expand(spark, fig3_repo, keyless, KEY)
+        out = exp.expand(spark, fig3_repo, keyless, KEY, source=fig3_source)
         assert out == []
 
 
@@ -188,9 +190,9 @@ class TestEdges:
         by_name, ends = _edge_case(seed)
         names = sorted(by_name)
         got = exp._edges(
-            names, {n: exp._value_sets(c, exp._columns(c.pdf)) for n, c in by_name.items()}, ends
+            names, {n: exp._value_sets(exp._columns(c.pdf)) for n, c in by_name.items()}, ends
         )
-        ref_sets = {n: ref._value_sets(c, c.pdf) for n, c in by_name.items()}
+        ref_sets = {n: ref._value_sets(c.pdf) for n, c in by_name.items()}
         want = {}
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
@@ -210,7 +212,7 @@ class TestEdges:
         edges = same_ext = other_ext = 0
         for seed in range(12):
             by_name, _ends = _edge_case(seed)
-            sets = {n: ref._value_sets(c, c.pdf) for n, c in by_name.items()}
+            sets = {n: ref._value_sets(c.pdf) for n, c in by_name.items()}
             names = sorted(by_name)
             for i, a in enumerate(names):
                 for b in names[i + 1 :]:
@@ -260,7 +262,8 @@ class TestJoinNulls:
         frames = {"C": exp._columns(keyless), "A": exp._columns(keyed)}
         edges = {("C", "A"): ("Name", "Name", 1.0), ("A", "C"): ("Name", "Name", 1.0)}
         path = exp._materialise_path(
-            spark, c, ["C", "A"], {"C": c, "A": a}, frames, edges, KEY
+            spark, c, ["C", "A"], {"C": c, "A": a}, frames, edges, KEY,
+            source, exp._SourceKeys(source, KEY),
         )
         assert path is not None
         oracle.assert_equivalent(
@@ -395,7 +398,6 @@ def _path_case(kind: str, seed: int):
             name=n, load=None,
             mapping={c: c for c in f.columns if "__u__" not in c},
             col_overlaps={c: 1.0 for c in f.columns if "__u__" not in c},
-            matched_values={c: frozenset(f[c].dropna()) for c in f.columns if "__u__" not in c},
             pdf=f,
         )
         for n, f in frames.items()
@@ -428,7 +430,9 @@ class TestCutPaths:
         start, path, by_name, frames, edges, key, source = case
         want = ref._materialise_path(spark, start, path, by_name, frames, edges, key, source)
         cols = {n: exp._columns(f) for n, f in frames.items()}
-        got = exp._materialise_path(spark, start, path, by_name, cols, edges, key, source)
+        got = exp._materialise_path(
+            spark, start, path, by_name, cols, edges, key, source, exp._SourceKeys(source, key)
+        )
         return want, got
 
     @pytest.mark.parametrize("seed", range(12))
@@ -445,8 +449,6 @@ class TestCutPaths:
         assert got.name == want.name
         assert list(got.mapping.items()) == list(want.mapping.items())
         assert got.col_overlaps == want.col_overlaps
-        assert got.matched_values == want.matched_values
-        assert got.provenance == want.provenance
         pd.testing.assert_frame_equal(got.pdf, _key_rows(want.pdf, source, key))
         pd.testing.assert_frame_equal(
             mtx.key_slice(None, got, source, key), mtx.key_slice(None, want, source, key)
@@ -484,7 +486,6 @@ class TestExpandEqualsReference:
         assert [c.name for c in got] == [c.name for c in want]
         for g, w in zip(got, want):
             assert list(g.mapping.items()) == list(w.mapping.items())
-            assert g.provenance == w.provenance
             pd.testing.assert_frame_equal(
                 mtx.key_slice(repo, g, src, key), mtx.key_slice(repo, w, src, key)
             )

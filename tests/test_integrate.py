@@ -140,9 +140,11 @@ class TestIntegrate:
 
 class TestGenTEndToEnd:
     def test_fig3_full_pipeline(self, spark, fig3_repo, fig3_source):
-        from repro.core.gent import reclaim
+        from repro.core.discovery import set_similarity
+        from repro.core.gent import reclaim_from_candidates
 
-        res = reclaim(spark, fig3_repo, fig3_source, KEY, tau=0.3)
+        cands = set_similarity(spark, fig3_repo, fig3_source, KEY, tau=0.3)
+        res = reclaim_from_candidates(spark, fig3_repo, cands, fig3_source, KEY)
         assert res.reclaimed is not None
         out = res.reclaimed.toPandas()
         rec, pre = mc.recall_precision(fig3_source, out)
@@ -151,9 +153,12 @@ class TestGenTEndToEnd:
         # Table C's misleading Gender column must have been pruned
         assert not any(n.startswith("C") for n in res.originating)
 
-    def test_timings_recorded(self, spark, fig3_repo, fig3_source):
-        from repro.core.gent import reclaim
+    def test_coarse_retrieval_end_to_end(self, spark, fig3_repo, fig3_source):
+        from repro.harness.runner import run_source
 
-        res = reclaim(spark, fig3_repo, fig3_source, KEY, tau=0.3, coarse_k=5)
-        assert {"set_similarity", "total"} <= set(res.timings)
-        assert res.timings["total"] > 0
+        [cell] = run_source(
+            spark, fig3_repo, "fig3", fig3_source, KEY, ["gen_t"], tau=0.3, coarse_k=5
+        )
+        assert cell.error is None
+        assert cell.perfect
+        assert (cell.recall, cell.precision) == (1.0, 1.0)

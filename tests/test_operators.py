@@ -1,5 +1,6 @@
 """Integration operators: pure kernels, per-key-group pandas helpers,
 Spark operators, Theorem 8 lemmas."""
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -231,6 +232,88 @@ class TestProjectSelectPdf:
         t = pd.DataFrame({"a": ["x"]})
         with pytest.raises(ValueError):
             ops.project_select_pdf(t, pd.DataFrame({"k": ["1"], "a": ["x"]}), ["k"])
+
+
+def _match_rates_reference(tbl, tbl_keys, src, src_keys, pairs):
+    """The alignment and rate loop that ``match_rates`` replaced in
+    discovery's key-option refinement and Expand's column pruning."""
+    src_first = ops.first_rows(src, src_keys)
+    aligned = [
+        (i, src_first[k]) for k, i in ops.first_rows(tbl, tbl_keys).items() if k in src_first
+    ]
+    if not aligned:
+        return 0, {}
+    at, src_at = (np.array(p) for p in zip(*aligned))
+    rates = {}
+    for c, s in pairs:
+        svals = src[s].to_numpy(dtype=object)[src_at]
+        nonnull = pd.notna(svals)
+        denom = int(nonnull.sum())
+        if denom == 0:
+            continue
+        hits = (tbl[c].to_numpy(dtype=object)[at] == svals) & nonnull
+        rates[c, s] = float(hits.sum()) / denom
+    return len(aligned), rates
+
+
+class TestMatchRates:
+    """``match_rates`` aligns first rows per key (null key parts equal) and
+    rates each column pair over the aligned non-null source cells."""
+
+    @staticmethod
+    def _rates(tbl, tbl_keys, src, src_keys, pairs):
+        return ops.match_rates(tbl, tbl_keys, src, ops.first_rows(src, src_keys), pairs)
+
+    def test_null_source_cells_are_not_counted(self):
+        src = pd.DataFrame(
+            {"k": ["1", "2", "3"], "a": ["x", None, None], "b": [None] * 3}, dtype=object
+        )
+        tbl = pd.DataFrame({"c0": ["1", "2", "3"], "c1": ["x", "y", None]}, dtype=object)
+        got = self._rates(tbl, ["c0"], src, ["k"], [("c1", "a"), ("c1", "b")])
+        # b is null on every aligned row: no rate
+        assert got == (3, {("c1", "a"): 1.0})
+
+    def test_no_aligned_key(self):
+        src = pd.DataFrame({"k": ["1", "2"], "a": ["x", "y"]})
+        tbl = pd.DataFrame({"c0": ["7", "8"], "c1": ["x", "y"]})
+        assert self._rates(tbl, ["c0"], src, ["k"], [("c1", "a")]) == (0, {})
+
+    def test_duplicate_keys_align_first_rows(self):
+        # key "1" repeats on both sides; only its first rows are compared
+        src = pd.DataFrame({"k": ["1", "2", "1"], "a": ["x", "y", "q"]})
+        tbl = pd.DataFrame(
+            {"c0": ["1", "2", "1"], "c1": ["x", "y", "w"], "c2": ["q", "y", "x"]}
+        )
+        got = self._rates(tbl, ["c0"], src, ["k"], [("c1", "a"), ("c2", "a")])
+        assert got == (2, {("c1", "a"): 1.0, ("c2", "a"): 0.5})
+
+    def test_null_key_parts_align(self):
+        src = pd.DataFrame({"k1": ["1", "1"], "k2": [None, "b"], "a": ["x", "y"]}, dtype=object)
+        tbl = pd.DataFrame({"c0": ["1"], "c1": [np.nan], "c2": ["x"]}, dtype=object)
+        assert self._rates(tbl, ["c0", "c1"], src, ["k1", "k2"], [("c2", "a")]) == (
+            1, {("c2", "a"): 1.0}
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equal_to_replaced_code(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def frame(cols, n):
+            pool = np.array([None, "0", "1", "2", "3"], dtype=object)
+            return pd.DataFrame(
+                {c: pool[rng.integers(len(pool), size=n)] for c in cols}, dtype=object
+            )
+
+        n_keys = int(rng.integers(1, 3))
+        src_keys = [f"k{i}" for i in range(n_keys)]
+        tbl_keys = [f"c{i}" for i in range(n_keys)]
+        src = frame(src_keys + ["a", "b"], int(rng.integers(0, 9)))
+        tbl = frame(tbl_keys + ["c8", "c9", "a"], int(rng.integers(0, 12)))
+        pairs = [(c, s) for s in ("a", "b") for c in ("c8", "c9", "a")]
+        got = self._rates(tbl, tbl_keys, src, src_keys, pairs)
+        want = _match_rates_reference(tbl, tbl_keys, src, src_keys, pairs)
+        assert got[0] == want[0]
+        assert list(got[1].items()) == list(want[1].items())
 
 
 class TestKeyedPairwise:
