@@ -148,8 +148,6 @@ def _align_unmapped(cands: Sequence[Candidate]) -> list[DataFrame]:
 
     vsets: list[tuple[int, str, frozenset]] = []
     for i, c in enumerate(cands):
-        if c.pdf is None:
-            continue
         for col in c.pdf.columns:
             if UNMAPPED_SEP not in col:
                 continue

@@ -55,7 +55,7 @@ def ver(
             restrict_to=restrict_to,
             max_candidates=8,
         )
-        cands = exp.expand(spark, repo, cands, list(key_cols), source=example)
+        cands = exp.expand(spark, cands, list(key_cols), source=example)
         scored = [
             cand
             for cand in cands

@@ -9,9 +9,10 @@ no Spark job: Spark's fixed cost per job was most of the scan's time
 that is bounded by the source's values and runs in plain loops: the hits
 are matched to their source columns through one dict from value to source
 columns and counted per ``(table, col, src_col)``, then diversified,
-ranked, verified, de-subsumed and renamed. A lake table is read only to
-align a key option or for a kept candidate's pandas cache; a candidate its
-options settle costs no read.
+ranked, verified, de-subsumed and renamed. A lake table is read at most
+once per source, and only to align a key option or for a kept candidate's
+renamed pandas frame (``Candidate.pdf``), which every later Gen-T step
+reads; a table its options reject costs no read.
 
 Two refinements beyond raw set containment (both deterministic, both in
 the spirit of Alg 3's "verify overlap within aligned tuples" step; see
@@ -53,7 +54,6 @@ from repro.lake.repository import TableRepository, canon_str
 UNMAPPED_SEP = "__u__"  # unmapped columns keep "{table}__u__{col}" names
 KEY_OPTION_EPS = 0.05  # containment slack for tied key-column options
 MIN_KEY_MATCH = 0.15  # min mean cell-match rate to accept a key mapping
-PANDAS_CAP = 300_000  # rows; larger candidate tables skip the pandas cache
 K_PER_COL = 10  # tables diversified per source column (Alg 4)
 
 
@@ -68,15 +68,14 @@ class Candidate:
     load: Callable[[], DataFrame] = field(repr=False)  # builds ``df``
     mapping: dict[str, str]  # source col -> original lake col
     col_overlaps: dict[str, float]  # source col -> containment score
+    pdf: pd.DataFrame = field(repr=False)  # the renamed frame Gen-T reads
     score: float = 0.0
-    pdf: pd.DataFrame | None = field(default=None, repr=False)  # renamed pandas cache
 
     @functools.cached_property
     def df(self) -> DataFrame:
         """The candidate as a Spark frame, built on first read: mapped
         columns renamed to source names, unmapped ones prefixed. Gen-T reads
-        ``pdf``, or a filtered Parquet read where there is none; the
-        baselines read this."""
+        ``pdf``; the baselines read this."""
         return self.load()
 
 
@@ -332,16 +331,12 @@ def set_similarity(
                 load=functools.partial(_load_renamed, spark, repo, name, mapping),
                 mapping=mapping,
                 col_overlaps=overlaps,
+                pdf=_rename_pdf(load(), name, mapping),
                 score=sum(table_scores[name]) / len(table_scores[name]),
-                pdf=(
-                    _rename_pdf(load(), name, mapping)
-                    if repo.rows(name) <= PANDAS_CAP
-                    else None
-                ),
             )
         )
 
-    return _remove_subsumed(cands, repo)
+    return _remove_subsumed(cands)
 
 
 def renamed_columns(columns: list[str], name: str, mapping: dict[str, str]) -> list[str]:
@@ -363,18 +358,11 @@ def _rename_pdf(pdf: pd.DataFrame, name: str, mapping: dict[str, str]) -> pd.Dat
     return out
 
 
-def renamed_frame(cand: Candidate, repo: TableRepository) -> pd.DataFrame:
-    """The candidate's renamed pandas frame: its cache, else the lake table."""
-    if cand.pdf is not None:
-        return cand.pdf
-    return _rename_pdf(repo.load_pdf(cand.name), cand.name, cand.mapping)
-
-
 def _row_set(pdf: pd.DataFrame, cols: list[str]) -> frozenset:
     return frozenset(zip(*(null_none(pdf[c]) for c in cols)))
 
 
-def _remove_subsumed(cands: list[Candidate], repo: TableRepository) -> list[Candidate]:
+def _remove_subsumed(cands: list[Candidate]) -> list[Candidate]:
     """Alg 3 line 15: drop candidates whose mapped columns and column
     values are contained in another candidate's.
 
@@ -382,17 +370,13 @@ def _remove_subsumed(cands: list[Candidate], repo: TableRepository) -> list[Cand
     redundant only if every one of its mapped tuples appears in the other —
     the Example 9 duplicate case). Value-set containment alone would also
     kill complementary corrupted variants whose low-cardinality columns
-    happen to share extents. A candidate too large for the pandas cache is
-    loaded in pandas when a comparison needs its rows.
+    happen to share extents.
     """
-    frames: dict[int, pd.DataFrame] = {}
     row_sets: dict[tuple[int, tuple[str, ...]], frozenset] = {}
 
     def rows_of(k: int, cols: tuple[str, ...]) -> frozenset:
         if (k, cols) not in row_sets:
-            if k not in frames:
-                frames[k] = renamed_frame(cands[k], repo)
-            row_sets[k, cols] = _row_set(frames[k], list(cols))
+            row_sets[k, cols] = _row_set(cands[k].pdf, list(cols))
         return row_sets[k, cols]
 
     keep: list[Candidate] = []

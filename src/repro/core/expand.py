@@ -5,13 +5,12 @@ through other candidates to ones that do (end nodes), along the best path
 of a join graph. Edges connect candidates that share a joinable column;
 following the paper, edge weights are the value overlap of the joinable
 columns (a standard join-cardinality-style estimate). Edge weights and
-joins both read one renamed pandas frame per candidate: its discovery
-cache, or, for a table over ``PANDAS_CAP``, the table loaded once per
-``expand`` call. Edge weights use value sets sampled above ``_SAMPLE``
-distinct values (the first ``_SAMPLE`` in row order), and every column
-pair's overlap is counted in one pass through a value → columns index. No
-edge is weighed between two key-bearing candidates: a path ends at its
-first one.
+joins both read each candidate's renamed pandas frame (``Candidate.pdf``),
+so Expand reads no lake table. Edge weights use value sets sampled above
+``_SAMPLE`` distinct values (the first ``_SAMPLE`` in row order), and
+every column pair's overlap is counted in one pass through a value →
+columns index. No edge is weighed between two key-bearing candidates: a
+path ends at its first one.
 
 A path is joined only over rows that can reach a source key, by a
 semi-join reduction (Yannakakis, VLDB 1981): the source keys cut the
@@ -58,9 +57,9 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 import pandas as pd
 
-from repro.core.discovery import Candidate, renamed_frame
+from repro.core.discovery import Candidate
 from repro.core.operators import first_rows, match_rates, null_none
-from repro.lake.repository import TableRepository, to_spark
+from repro.lake.repository import to_spark
 
 if TYPE_CHECKING:
     from pyspark.sql import SparkSession
@@ -81,7 +80,7 @@ def _value_sets(frame: Columns) -> dict[str, np.ndarray]:
     """Joinable-column value sets of a candidate (sampled), as arrays of
     distinct values in row order.
 
-    ``frame`` is the candidate's renamed frame (``renamed_frame``). A column
+    ``frame`` is the candidate's renamed frame (``Candidate.pdf``). A column
     qualifies as a join candidate if it has at least MIN_JOIN_EXTENT
     distinct values *or* is near-unique within its table — the absolute
     floor rejects categorical domains in big tables without disqualifying
@@ -220,7 +219,6 @@ def _isin(arr: np.ndarray, values: set, nulls: bool = False) -> np.ndarray:
 
 def expand(
     spark: SparkSession,
-    repo: TableRepository,
     cands: list[Candidate],
     key_cols: list[str],
     *,
@@ -237,7 +235,7 @@ def expand(
     if not without or not with_key:
         return with_key
 
-    frames = {c.name: _columns(renamed_frame(c, repo)) for c in cands}
+    frames = {c.name: _columns(c.pdf) for c in cands}
     vsets = {n: _value_sets(f) for n, f in frames.items()}
     by_name = {c.name: c for c in cands}
     ends = {c.name for c in with_key}
@@ -395,7 +393,7 @@ def _materialise_path(
     right — carrying their attribute columns through the chain would count
     their (possibly erroneous) values twice (DESIGN.md §6).
 
-    ``frames`` holds each candidate's renamed frame (``renamed_frame``), as
+    ``frames`` holds each candidate's renamed frame (``Candidate.pdf``), as
     columns; ``source`` is the canonical source and ``keys`` its
     ``_SourceKeys``, built once per ``expand``."""
     mapping = dict(start.mapping)

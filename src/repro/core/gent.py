@@ -16,6 +16,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core import expand as exp
 from repro.core import integrate as integ
 from repro.core import matrix as mtx
+from repro.core import operators as ops
 from repro.lake.repository import TableRepository, canon_str, to_spark
 
 
@@ -36,17 +37,18 @@ def reclaim_from_candidates(
     """Gen-T's pruning + integration given an already-retrieved candidate
     set (the runner hands the same set to every method, paper §VI-B).
 
-    The source is canonicalised once, here; Expand, the matrices and
-    integration all read that frame. A candidate with a pandas frame is
-    never turned into a Spark plan: the only Spark frame built is the
-    reclaimed table's."""
+    ``repo`` is unused: every candidate carries its renamed frame
+    (``Candidate.pdf``), so nothing here reads the lake. The source is
+    canonicalised once, here; Expand, the matrices and integration all read
+    that frame. No candidate is turned into a Spark plan: the only Spark
+    frame built is the reclaimed table's."""
     source = canon_str(source)
-    cands = exp.expand(spark, repo, cands, key_cols, source=source)
+    cands = exp.expand(spark, cands, key_cols, source=source)
     if not cands:
         return GenTResult(None, [], [])
 
     # one |S|-bounded slice per candidate, shared by encoding and integration
-    slices = {c.name: mtx.key_slice(repo, c, source, key_cols) for c in cands}
+    slices = {c.name: ops.project_select_pdf(c.pdf, source, key_cols) for c in cands}
     matrices = {n: mtx.matrix_for_candidate(sl, source, key_cols) for n, sl in slices.items()}
     orig_names = mtx.matrix_traversal(matrices, source, key_cols)
 

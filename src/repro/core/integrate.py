@@ -92,10 +92,10 @@ def integrate(
     ``source`` is canonical (``canon_str``) and ``tables`` are all-string
     pandas frames in integration order. Each table must already be
     ProjectSelect'ed (``operators.project_select_pdf``, as
-    ``matrix.key_slice`` cuts it): only S's columns, and only rows whose
-    key is one of S's. Tables without S's key columns are skipped. Returns
-    a frame with exactly S's columns, or None when no table can be
-    integrated.
+    ``gent.reclaim_from_candidates`` cuts it): only S's columns, and only
+    rows whose key is one of S's. Tables without S's key columns are
+    skipped. Returns a frame with exactly S's columns, or None when no
+    table can be integrated.
     """
     src = source.reset_index(drop=True)
     key_cols = list(key_cols)
@@ -115,9 +115,9 @@ def integrate(
         acc = t if acc is None else pd.concat([acc, t], ignore_index=True)
         base = mc.eis(labeled_source, acc, key_cols)
         comp = ops.per_key_group(acc, key_cols, ops.complement_rows)
-        if mc.eis(labeled_source, comp, key_cols) >= base:
-            acc = comp
-            base = mc.eis(labeled_source, acc, key_cols)
+        comp_eis = mc.eis(labeled_source, comp, key_cols)
+        if comp_eis >= base:
+            acc, base = comp, comp_eis
         sub = ops.per_key_group(acc, key_cols, ops.subsume_rows)
         if mc.eis(labeled_source, sub, key_cols) >= base:
             acc = sub

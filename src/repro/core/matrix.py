@@ -16,15 +16,14 @@ Combine(): rows that conflict (a 1 meets a −1 in some column) stay
 separate, otherwise they merge by a sign-preserving OR. Encoding, Combine
 and EIS are numpy over the code array; only the key lookup is a dict.
 
-Matrix *initialisation* encodes the candidate's key-aligned slice. The
-slice is cut on the driver from the candidate's pandas frame (its
-discovery cache, or the cut join of an Expand path); a table over
-``PANDAS_CAP`` that needs no join is read with a Parquet filter on the
-source key, so Gen-T builds no Spark plan for a candidate. Traversal
-itself is a driver-side greedy loop over |S|-sized numpy arrays —
-exactly the point of the method: candidates are pruned without executing
-real integrations. ``source`` is the canonical source (``canon_str``)
-throughout: the caller canonicalises it once.
+Matrix *initialisation* encodes the candidate's key-aligned slice, which
+the caller cuts on the driver from the candidate's pandas frame (its
+renamed lake table from discovery, or the cut join of an Expand path) with
+``operators.project_select_pdf``, so Gen-T builds no Spark plan for a
+candidate. Traversal itself is a driver-side greedy loop over |S|-sized
+numpy arrays — exactly the point of the method: candidates are pruned
+without executing real integrations. ``source`` is the canonical source
+(``canon_str``) throughout: the caller canonicalises it once.
 """
 from __future__ import annotations
 
@@ -33,10 +32,6 @@ from typing import Sequence
 
 import numpy as np
 import pandas as pd
-
-from repro.core.discovery import renamed_columns
-from repro.core.operators import project_select_pdf
-from repro.lake.repository import TableRepository
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,53 +130,11 @@ def encode_matrix(
     return _grouped(ids, rank[keep], codes[keep])
 
 
-def key_slice(
-    repo: TableRepository, cand, source: pd.DataFrame, key_cols: Sequence[str]
-) -> pd.DataFrame:
-    """A candidate's key-aligned slice: π to S's columns, σ to S's keys.
-
-    ``cand`` is a discovery.Candidate. Its pandas frame (the discovery cache,
-    or an Expand path's cut join) is sliced on the driver. A lake table
-    without one (over ``PANDAS_CAP``) is read with a Parquet filter on its
-    key columns, so only the rows whose key parts S holds are read, in file
-    order. The slice is bounded by |S| × fan-out, and both matrix encoding
-    and integration read it.
-    """
-    pdf = cand.pdf
-    if pdf is None:
-        pdf = _read_key_rows(repo, cand, source, key_cols)
-    return project_select_pdf(pdf, source, key_cols)
-
-
-def _read_key_rows(
-    repo: TableRepository, cand, source: pd.DataFrame, key_cols: Sequence[str]
-) -> pd.DataFrame:
-    """The renamed rows of ``cand``'s lake table whose every key part is a
-    non-null value of S's, reading only the columns S holds."""
-    lake_cols = repo.columns(cand.name)
-    named = [
-        (c, r)
-        for c, r in zip(lake_cols, renamed_columns(lake_cols, cand.name, cand.mapping))
-        if r in set(source.columns)
-    ]
-    cols = [c for c, _r in named]
-    filters = []
-    for k in key_cols:
-        vals = source[k].to_numpy(dtype=object)
-        filters.append((cand.mapping[k], "in", sorted(set(vals[pd.notna(vals)]))))
-    if any(not v for _c, _op, v in filters):  # matches nothing; pyarrow rejects `in []`
-        pdf = pd.DataFrame({c: pd.Series(dtype=object) for c in cols})
-    else:
-        pdf = repo.load_pdf(cand.name, columns=cols, filters=filters)
-    pdf.columns = [r for _c, r in named]
-    return pdf
-
-
 def matrix_for_candidate(
     sl: pd.DataFrame, source: pd.DataFrame, key_cols: Sequence[str]
 ) -> Matrix:
-    """Eq 4 matrix of a candidate, from its key slice ``sl`` (as
-    ``key_slice`` cuts it)."""
+    """Eq 4 matrix of a candidate, from its key slice ``sl``
+    (``operators.project_select_pdf`` of its frame)."""
     return encode_matrix(source, sl, key_cols)
 
 

@@ -23,17 +23,6 @@ from repro.core import metrics as met
 from repro.core.gent import reclaim_from_candidates
 from repro.lake.repository import TableRepository
 
-METHODS = (
-    "alite",
-    "alite_int",
-    "alite_ps",
-    "alite_ps_int",
-    "auto_pipeline",
-    "auto_pipeline_int",
-    "ver_int",
-    "gen_t",
-)
-
 
 @dataclass
 class CellResult:

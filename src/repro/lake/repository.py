@@ -211,16 +211,9 @@ class TableRepository:
             self.table_path(name)
         )
 
-    def load_pdf(
-        self,
-        name: str,
-        *,
-        columns: list[str] | None = None,
-        filters: list[tuple] | None = None,
-    ) -> pd.DataFrame:
-        """Load one table in pandas: all of it, or only ``columns`` and the
-        rows passing pyarrow's ``filters``, in file order."""
-        return pq.read_table(self.table_path(name), columns=columns, filters=filters).to_pandas()
+    def load_pdf(self, name: str) -> pd.DataFrame:
+        """Load one whole table in pandas, in file order."""
+        return pq.read_table(self.table_path(name)).to_pandas()
 
     @functools.cached_property
     def _cell_parts(self) -> list[Path]:

@@ -5,6 +5,7 @@ A, B, C, D and the two integration results Ŝ1 (full disjunction) and
 Ŝ2 (an outer-join order) — is reused across metric, matrix, discovery and
 end-to-end tests, because the paper states exact expected numbers for it.
 """
+import contextlib
 import json
 import shutil
 import uuid
@@ -128,15 +129,34 @@ def stale_layout(root, params: dict):
     return root
 
 
+_JOB_GROUP_PROPERTIES = (
+    "spark.jobGroup.id",
+    "spark.job.description",
+    "spark.job.interruptOnCancel",
+)
+
+
+@contextlib.contextmanager
+def job_group(sc, group: str, description: str):
+    """Run the body under Spark job group ``group``, then restore the
+    thread's job-group properties as they were. ``setJobGroup`` sets all
+    three, and a later test may read any of them (ALITE's deadline test
+    asserts ``spark.job.interruptOnCancel`` is unset)."""
+    saved = {p: sc.getLocalProperty(p) for p in _JOB_GROUP_PROPERTIES}
+    sc.setJobGroup(group, description)
+    try:
+        yield
+    finally:
+        for p, v in saved.items():
+            sc.setLocalProperty(p, v)
+
+
 def jobs_started(spark, fn):
     """Run ``fn`` under a fresh Spark job group; return (result, job ids)."""
     sc = spark.sparkContext
     group = f"jobs-started-{uuid.uuid4().hex}"
-    sc.setJobGroup(group, "jobs_started")
-    try:
+    with job_group(sc, group, "jobs_started"):
         out = fn()
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)  # job events are async
     return out, list(sc.statusTracker().getJobIdsForGroup(group))
 
@@ -175,11 +195,8 @@ def reclaim_spark_free(spark, repo, source, key_cols, monkeypatch, **kw):
         return real_to_spark(sp, pdf)
 
     monkeypatch.setattr(gent, "to_spark", to_spark_spy)
-    sc.setJobGroup(group, "reclaim_spark_free")
-    try:
+    with job_group(sc, group, "reclaim_spark_free"):
         res = gent.reclaim_from_candidates(spark, repo, cands, source, key_cols)
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
     return cands, res, seen
 
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import pandas as pd
 
-from repro.core.discovery import Candidate, renamed_frame
+from repro.core.discovery import Candidate
 from repro.core.expand import (
     HOP_PENALTY,
     MAX_EXPANSIONS,
@@ -26,7 +26,7 @@ from repro.core.expand import (
     _SAMPLE,
 )
 from repro.core.operators import first_rows
-from repro.lake.repository import TableRepository, to_spark
+from repro.lake.repository import to_spark
 
 if TYPE_CHECKING:
     from pyspark.sql import SparkSession
@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 def _value_sets(pdf: pd.DataFrame) -> dict[str, frozenset]:
     """Joinable-column value sets of a candidate (sampled).
 
-    ``pdf`` is the candidate's renamed frame (``renamed_frame``). A column
+    ``pdf`` is the candidate's renamed frame (``Candidate.pdf``). A column
     qualifies as a join candidate if it has at least MIN_JOIN_EXTENT
     distinct values *or* is near-unique within its table — the absolute
     floor rejects categorical domains in big tables without disqualifying
@@ -125,7 +125,6 @@ def _best_paths(
 
 def expand(
     spark: SparkSession,
-    repo: TableRepository,
     cands: list[Candidate],
     key_cols: list[str],
     *,
@@ -142,7 +141,7 @@ def expand(
     if not without or not with_key:
         return with_key
 
-    frames = {c.name: renamed_frame(c, repo) for c in cands}
+    frames = {c.name: c.pdf for c in cands}
     vsets = {n: _value_sets(f) for n, f in frames.items()}
     by_name = {c.name: c for c in cands}
     adj: dict[str, list[tuple[str, float]]] = {}
@@ -221,7 +220,7 @@ def _materialise_path(
     right — carrying their attribute columns through the chain would count
     their (possibly erroneous) values twice (DESIGN.md §6).
 
-    ``frames`` holds each candidate's renamed pandas frame (``renamed_frame``);
+    ``frames`` holds each candidate's renamed pandas frame (``Candidate.pdf``);
     ``source`` is the canonical source, or None to skip the pruning."""
     pdf = frames[start.name]
     mapping = dict(start.mapping)

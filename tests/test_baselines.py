@@ -38,6 +38,7 @@ def cands_with_c(spark, fig3_repo, cands):
         load=lambda: c_df,
         mapping={"Name": "c0", "Gender": "c1"},
         col_overlaps={"Name": 1.0, "Gender": 0.5},
+        pdf=c_df.toPandas(),
     )
     return list(cands) + [c_cand]
 

@@ -42,6 +42,15 @@ class TestSetSimilarity:
         # the renamed DataFrame exposes source column names
         assert {"ID", "Name", "Education Level"} <= set(a.df.columns)
 
+    def test_every_candidate_holds_its_renamed_table(self, fig3_repo, candidates):
+        # Gen-T reads ``pdf``, the baselines ``df``: both are the whole
+        # lake table with the candidate's column names
+        for c in candidates:
+            want = fig3_repo.load_pdf(c.name)
+            want.columns = disc.renamed_columns(list(want.columns), c.name, c.mapping)
+            pd.testing.assert_frame_equal(c.pdf, want)
+            pd.testing.assert_frame_equal(c.df.toPandas(), want)
+
     def test_mapping_points_at_anonymized_cols(self, candidates):
         a = next(c for c in candidates if c.name == "A")
         assert a.mapping["ID"] == "c0"
@@ -327,20 +336,6 @@ class TestRowSet:
         assert pdf["a"].isna().sum() == 2
 
 
-class TestUncachedSubsumption:
-    """A candidate over ``PANDAS_CAP`` has no pandas cache; de-subsumption
-    loads its table and compares rows, so the cap changes no result."""
-
-    def test_capped_run_keeps_the_same_candidates(
-        self, spark, fig3_repo, fig3_source, candidates, monkeypatch
-    ):
-        monkeypatch.setattr(disc, "PANDAS_CAP", 2)
-        capped = disc.set_similarity(spark, fig3_repo, fig3_source, KEY, tau=TAU)
-        assert {c.name for c in capped if c.pdf is None} >= {"A", "C", "D"}
-        assert [c.name for c in capped] == [c.name for c in candidates]
-        assert set(c.name for c in capped) == {"A", "C", "D"}
-
-
 def _refine_case(kind: str, seed: int):
     """A seeded (table, options, canonical source, key) for ``_refine_mapping``.
 
@@ -471,9 +466,11 @@ class TestRefineMapping:
 
 class TestLakeReads:
     """Discovery reads a lake table only to align a key option or for a
-    kept candidate, and lists the cells dataset once per repository."""
+    kept candidate, and lists the cells dataset once per repository; the
+    rest of Gen-T reads no lake table."""
 
     def test_tptr_small_q09_reads_eight_tables(self, spark, tptr_small, monkeypatch):
+        from repro.core import gent
         from repro.lake.repository import TableRepository
 
         _root, bench = tptr_small
@@ -488,8 +485,11 @@ class TestLakeReads:
         monkeypatch.setattr(TableRepository, "load_pdf", counting)
         cands = disc.set_similarity(spark, bench.repo, q09.table, q09.key_cols, tau=0.2)
         assert cands
-        # the four lineitem variants are rejected from their options alone
-        assert len(loads) == 8
+        res = gent.reclaim_from_candidates(spark, bench.repo, cands, q09.table, q09.key_cols)
+        assert res.originating
+        # each table is read once; the four lineitem variants are rejected
+        # from their options alone
+        assert len(loads) == len(set(loads)) == 8
         assert not [n for n in loads if n.startswith("lineitem__")]
 
     def test_cells_listed_once_per_repository(self, fig3_repo, fig3_source, monkeypatch):

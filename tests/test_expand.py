@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import discovery as disc
 from repro.core import expand as exp
+from repro.core import operators as ops
 
 KEY = ["ID"]
 TAU = 0.3
@@ -16,8 +17,8 @@ def cands(spark, fig3_repo, fig3_source):
 
 
 @pytest.fixture(scope="module")
-def expanded(spark, fig3_repo, cands, fig3_source):
-    return exp.expand(spark, fig3_repo, cands, KEY, source=fig3_source)
+def expanded(spark, cands, fig3_source):
+    return exp.expand(spark, cands, KEY, source=fig3_source)
 
 
 class TestExpand:
@@ -52,65 +53,31 @@ class TestExpand:
         assert len(path) >= 2
         assert set(path) <= {c.name for c in cands}
 
-    def test_no_keyed_candidates_passthrough(self, spark, fig3_repo, cands, fig3_source):
+    def test_no_keyed_candidates_passthrough(self, spark, cands, fig3_source):
         with_key = [c for c in cands if "ID" in c.mapping]
-        out = exp.expand(spark, fig3_repo, with_key, KEY, source=fig3_source)
+        out = exp.expand(spark, with_key, KEY, source=fig3_source)
         assert {c.name for c in out} == {c.name for c in with_key}
 
-    def test_unreachable_candidate_dropped(self, spark, fig3_repo, cands, fig3_source):
+    def test_unreachable_candidate_dropped(self, spark, cands, fig3_source):
         # a keyless candidate with no join edge to a keyed one disappears
         keyless = [c for c in cands if "ID" not in c.mapping]
-        out = exp.expand(spark, fig3_repo, keyless, KEY, source=fig3_source)
+        out = exp.expand(spark, keyless, KEY, source=fig3_source)
         assert out == []
 
+    def test_reads_no_lake_table(self, spark, cands, expanded, fig3_source, monkeypatch):
+        # every candidate carries its renamed frame: Expand joins those
+        from repro.lake.repository import TableRepository
 
-class TestUncachedPath:
-    """A path through a table over ``PANDAS_CAP`` (no discovery cache) joins
-    the same frame as a cached run: Expand loads the table itself."""
+        def no_read(*_a, **_kw):
+            raise AssertionError("Expand read a lake table")
 
-    @pytest.fixture(scope="class")
-    def lake(self, tmp_path_factory, fig3_tables):
-        from repro.lake.repository import RepositoryBuilder
-
-        b = RepositoryBuilder(tmp_path_factory.mktemp("uncached_lake"))
-        tables = dict(fig3_tables)
-        # A, the key-bearing end of every path, is the one table over the cap
-        a = fig3_tables["A"]
-        tables["A"] = pd.concat(
-            [a, pd.DataFrame([["9", "Stranger", "PhD"]], columns=a.columns)],
-            ignore_index=True,
-        )
-        for name, pdf in tables.items():
-            anon = pdf.copy()
-            anon.columns = [f"c{i}" for i in range(len(pdf.columns))]
-            b.add(name, anon)
-        return b.finish()
-
-    def _run(self, spark, lake, source):
-        from repro.core import matrix as mtx
-        from repro.lake.repository import canon_str
-
-        src = canon_str(source)
-        cands = disc.set_similarity(spark, lake, source, KEY, tau=TAU)
-        out = exp.expand(spark, lake, cands, KEY, source=src)
-
-        def rows(pdf):
-            return sorted(pdf.values.tolist(), key=repr)
-
-        return cands, {
-            c.name: (rows(mtx.key_slice(lake, c, src, KEY)), rows(c.df.toPandas()))
-            for c in out
-        }
-
-    def test_same_paths_slices_and_rows(self, spark, lake, fig3_source, monkeypatch):
-        cached_cands, cached = self._run(spark, lake, fig3_source)
-        monkeypatch.setattr(disc, "PANDAS_CAP", 3)
-        cands, uncached = self._run(spark, lake, fig3_source)
-        assert [c.name for c in cands] == [c.name for c in cached_cands]
-        assert [c.name for c in cands if c.pdf is None] == ["A"]
-        assert any(n.endswith("+A") for n in uncached), uncached
-        assert list(uncached) == list(cached)
-        assert uncached == cached
+        monkeypatch.setattr(TableRepository, "load_pdf", no_read)
+        monkeypatch.setattr(TableRepository, "load", no_read)
+        out = exp.expand(spark, cands, KEY, source=fig3_source)
+        assert [c.name for c in out] == [c.name for c in expanded]
+        assert any("+" in c.name for c in out)
+        for c, e in zip(out, expanded):
+            pd.testing.assert_frame_equal(c.pdf, e.pdf)
 
 
 class TestBestPaths:
@@ -237,7 +204,6 @@ class TestJoinNulls:
 
     def test_null_join_values_do_not_pair(self, spark):
         from repro import oracle
-        from repro.core import matrix as mtx
 
         source = pd.DataFrame(
             {"ID": ["0", "1", "2", "3"], "Name": ["Smith", "Brown", "Wang", "Li"],
@@ -275,7 +241,7 @@ class TestJoinNulls:
             a=keyed,
         )
         # ID 4 is not a source key; "Li" fans out to IDs 3 and 4
-        assert sorted(mtx.key_slice(None, path, source, KEY).values.tolist()) == [
+        assert sorted(ops.project_select_pdf(path.pdf, source, KEY).values.tolist()) == [
             ["2", "Wang", "Female"], ["3", "Li", "Male"]
         ]
 
@@ -438,8 +404,6 @@ class TestCutPaths:
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("kind", _KINDS)
     def test_equal_to_reference(self, spark, kind, seed):
-        from repro.core import matrix as mtx
-
         case = _path_case(kind, seed)
         key, source = case[5], case[6]
         want, got = self._both(spark, case)
@@ -451,7 +415,8 @@ class TestCutPaths:
         assert got.col_overlaps == want.col_overlaps
         pd.testing.assert_frame_equal(got.pdf, _key_rows(want.pdf, source, key))
         pd.testing.assert_frame_equal(
-            mtx.key_slice(None, got, source, key), mtx.key_slice(None, want, source, key)
+            ops.project_select_pdf(got.pdf, source, key),
+            ops.project_select_pdf(want.pdf, source, key),
         )
         pd.testing.assert_frame_equal(got.df.toPandas(), want.df.toPandas())
 
@@ -474,25 +439,25 @@ class TestExpandEqualsReference:
     reference's candidates: names, mappings and key slices."""
 
     @staticmethod
-    def _check(spark, repo, cands, key, source):
-        from repro.core import matrix as mtx
+    def _check(spark, cands, key, source):
         from repro.lake.repository import canon_str
 
         from tests import expand_reference as ref
 
         src = canon_str(source)
-        got = exp.expand(spark, repo, cands, key, source=src)
-        want = ref.expand(spark, repo, cands, key, source=src)
+        got = exp.expand(spark, cands, key, source=src)
+        want = ref.expand(spark, cands, key, source=src)
         assert [c.name for c in got] == [c.name for c in want]
         for g, w in zip(got, want):
             assert list(g.mapping.items()) == list(w.mapping.items())
             pd.testing.assert_frame_equal(
-                mtx.key_slice(repo, g, src, key), mtx.key_slice(repo, w, src, key)
+                ops.project_select_pdf(g.pdf, src, key),
+                ops.project_select_pdf(w.pdf, src, key),
             )
         return got, want
 
-    def test_fig3(self, spark, fig3_repo, fig3_source, cands):
-        got, _ = self._check(spark, fig3_repo, cands, KEY, fig3_source)
+    def test_fig3(self, spark, fig3_source, cands):
+        got, _ = self._check(spark, cands, KEY, fig3_source)
         assert any("+" in c.name for c in got)
 
     @pytest.mark.parametrize("name", ["q04", "q09", "q11", "q16", "q22"])
@@ -500,7 +465,7 @@ class TestExpandEqualsReference:
         _root, bench = tptr_small
         s = next(s for s in bench.sources if s.name == name)
         cands = disc.set_similarity(spark, bench.repo, s.table, s.key_cols, tau=0.2)
-        got, _ = self._check(spark, bench.repo, cands, s.key_cols, s.table)
+        got, _ = self._check(spark, cands, s.key_cols, s.table)
         assert any("+" in c.name for c in got)
 
 
@@ -517,11 +482,11 @@ class TestRowsGuard:
         q09 = next(s for s in bench.sources if s.name == "q09")
         src = canon_str(q09.table)
         cands = disc.set_similarity(spark, bench.repo, q09.table, q09.key_cols, tau=0.2)
-        out = exp.expand(spark, bench.repo, cands, q09.key_cols, source=src)
+        out = exp.expand(spark, cands, q09.key_cols, source=src)
         got = [c for c in out if "+" in c.name]
         whole = {
             c.name: len(c.pdf)
-            for c in ref.expand(spark, bench.repo, cands, q09.key_cols, source=src)
+            for c in ref.expand(spark, cands, q09.key_cols, source=src)
         }
         assert len(src) == 30 and len(got) == 8
         for c in got:

@@ -1,4 +1,4 @@
-"""Gen-T after discovery: no Spark plan for cached candidates, and the
+"""Gen-T after discovery: no Spark plan for a candidate, and the
 source canonicalised once at ``reclaim_from_candidates``."""
 import numpy as np
 

@@ -1,12 +1,11 @@
 """Table Integration (Alg 2): labelling, minimal forms, the full loop."""
-from types import SimpleNamespace
-
 import pandas as pd
 import pytest
 
 from repro.core import integrate as integ
-from repro.core import matrix as mtx
 from repro.core import metrics_core as mc
+from repro.core import operators as ops
+from tests.conftest import job_group
 
 KEY = ["ID"]
 
@@ -90,7 +89,7 @@ class TestIntegrate:
         # while the slice is made, before integration
         a = fig3_tables["A"].copy()
         a.loc[len(a)] = ["99", "Stranger", "PhD"]
-        sl = mtx.key_slice(None, SimpleNamespace(pdf=a), fig3_source, KEY)
+        sl = ops.project_select_pdf(a, fig3_source, KEY)
         assert "99" not in set(sl["ID"])
         out = integ.integrate([sl], fig3_source, KEY)
         assert "99" not in set(out["ID"])
@@ -123,16 +122,13 @@ class TestIntegrate:
         # work creeping back in shows up as a job in this group
         sc = spark.sparkContext
         group = "integrate-no-spark"
-        sc.setJobGroup(group, "integrate must not start Spark jobs")
-        try:
+        with job_group(sc, group, "integrate must not start Spark jobs"):
             ids = {"Smith": "0", "Brown": "1", "Wang": "2"}
             c = fig3_tables["C"].copy()
             c.insert(0, "ID", c["Name"].map(ids))
             out = integ.integrate(
                 [fig3_tables["A"], _keyed_d(fig3_tables), c], fig3_source, KEY
             )
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
         sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)  # job events are async
         assert len(out) >= len(fig3_source)
         assert list(sc.statusTracker().getJobIdsForGroup(group)) == []

@@ -1,13 +1,11 @@
 """Three-valued matrices: Eq 4 encoding, Combine(), traversal (Alg 1)."""
-from types import SimpleNamespace
-
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import matrix as mtx
+from repro.core import operators as ops
 from tests import matrix_reference as ref
-from tests.conftest import jobs_started
 
 KEY = ["ID"]
 
@@ -171,52 +169,6 @@ class TestTraversal:
 
 class TestMatrixForCandidate(object):
     def test_encodes_key_slice(self, fig3_source, fig3_tables):
-        sl = mtx.key_slice(None, SimpleNamespace(pdf=fig3_tables["A"]), fig3_source, KEY)
+        sl = ops.project_select_pdf(fig3_tables["A"], fig3_source, KEY)
         m = groups(mtx.matrix_for_candidate(sl, fig3_source, KEY), fig3_source)
         assert m[("0",)][0].tolist() == [1, 1, 0, 1, 1]
-
-    def test_slice_from_cache_matches_filtered_read(
-        self, spark, tmp_path, fig3_source, fig3_tables, monkeypatch
-    ):
-        """A table without a pandas cache is cut by a Parquet filter on its
-        key column: the same slice, in file order, reading only key rows and
-        starting no Spark job."""
-        from repro.lake.repository import RepositoryBuilder, TableRepository
-
-        a = fig3_tables["A"].copy()
-        a.loc[len(a)] = ["99", "Stranger", "PhD"]  # key not in S
-        a.loc[len(a)] = [None, "Nobody", "PhD"]  # null key
-        a.loc[len(a)] = ["1", "Brown", "PhD"]  # a second row for key 1
-        a = a.iloc[[4, 0, 3, 5, 2, 1]].reset_index(drop=True)
-        b = RepositoryBuilder(tmp_path / "lake")
-        b.add("A", a.set_axis(["c0", "c1", "c2"], axis=1))
-        repo = b.finish()
-        mapping = {"ID": "c0", "Name": "c1", "Education Level": "c2"}
-        cached_cand = SimpleNamespace(name="A", mapping=mapping, pdf=a)
-        cached = mtx.key_slice(repo, cached_cand, fig3_source, KEY)
-        reads = []
-        load_pdf = TableRepository.load_pdf
-
-        def counting(self, name, **kw):
-            out = load_pdf(self, name, **kw)
-            reads.append(len(out))
-            return out
-
-        monkeypatch.setattr(TableRepository, "load_pdf", counting)
-        uncached = SimpleNamespace(name="A", mapping=mapping, pdf=None)
-        read, jobs = jobs_started(spark, lambda: mtx.key_slice(repo, uncached, fig3_source, KEY))
-        assert cached["ID"].tolist() == ["0", "1", "2", "1"]
-        pd.testing.assert_frame_equal(read, cached)
-        assert reads == [4]
-        assert jobs == []
-
-    def test_filtered_read_of_a_source_without_keys(self, tmp_path, fig3_source, fig3_tables):
-        from repro.lake.repository import RepositoryBuilder
-
-        b = RepositoryBuilder(tmp_path / "lake")
-        b.add("A", fig3_tables["A"].set_axis(["c0", "c1", "c2"], axis=1))
-        repo = b.finish()
-        cand = SimpleNamespace(name="A", mapping={"ID": "c0", "Name": "c1"}, pdf=None)
-        src = fig3_source.assign(ID=None)
-        sl = mtx.key_slice(repo, cand, src, KEY)
-        assert list(sl.columns) == ["ID", "Name"] and sl.empty

@@ -207,6 +207,27 @@ class TestProjectSelectPdf:
         assert list(out.columns) == ["k", "a"]
         assert out.values.tolist() == [["3", "z"], ["1", "x"]]
 
+    def test_rows_of_one_key_keep_lake_order(self):
+        # a second row for a key stays where the lake table has it, behind
+        # rows of other keys; rows of a key S lacks and of a null key go
+        t = pd.DataFrame(
+            {
+                "k": [None, "0", "99", "1", "2", "1"],
+                "a": ["Nobody", "Smith", "Stranger", "Brown", "Wang", "Brown"],
+                "junk": ["PhD", "Bachelors", "PhD", "PhD", "High School", None],
+            },
+            dtype=object,
+        )
+        src = pd.DataFrame({"k": ["0", "1", "2"], "a": ["Smith", "Brown", "Wang"]})
+        out = ops.project_select_pdf(t, src, ["k"])
+        assert out.values.tolist() == [["0", "Smith"], ["1", "Brown"], ["2", "Wang"], ["1", "Brown"]]
+
+    def test_source_without_keys_selects_nothing(self):
+        t = pd.DataFrame({"k": ["1", "2"], "a": ["x", "y"], "junk": ["j", "j"]})
+        src = pd.DataFrame({"k": [None, None], "a": ["x", "y"]}, dtype=object)
+        out = ops.project_select_pdf(t, src, ["k"])
+        assert list(out.columns) == ["k", "a"] and out.empty
+
     def test_null_key_row_dropped(self):
         # pandas merge would match NaN to NaN; Spark's leftsemi does not
         t = pd.DataFrame({"k": ["1", None], "a": ["x", "y"]}, dtype=object)
