@@ -4,25 +4,27 @@ Set Similarity's candidates → Expand → Matrix Traversal → Table
 Integration → reclaimed table + originating set. Retrieval itself
 (``discovery.coarse_retrieve``, then ``discovery.set_similarity``) runs
 first, in the caller: the runner hands the same candidates to every method
-(paper §VI-B).
+(paper §VI-B). Everything here is bounded by the source and runs on the
+driver, the reclaimed table included (``metrics.LocalTable``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.core import expand as exp
 from repro.core import integrate as integ
 from repro.core import matrix as mtx
 from repro.core import operators as ops
-from repro.lake.repository import TableRepository, canon_str, to_spark
+from repro.core.metrics import LocalTable
+from repro.lake.repository import TableRepository, canon_str
 
 
 @dataclass
 class GenTResult:
-    reclaimed: DataFrame | None
+    reclaimed: LocalTable | None
     originating: list[str]
     candidates: list[str]
 
@@ -40,8 +42,8 @@ def reclaim_from_candidates(
     ``repo`` is unused: every candidate carries its renamed frame
     (``Candidate.pdf``), so nothing here reads the lake. The source is
     canonicalised once, here; Expand, the matrices and integration all read
-    that frame. No candidate is turned into a Spark plan: the only Spark
-    frame built is the reclaimed table's."""
+    that frame. No Spark plan is built: the reclaimed table is the
+    canonical frame ``integrate`` returns, held on the driver."""
     source = canon_str(source)
     cands = exp.expand(spark, cands, key_cols, source=source)
     if not cands:
@@ -57,5 +59,5 @@ def reclaim_from_candidates(
         return GenTResult(None, [], [c.name for c in cands])
 
     out = integ.integrate([slices[n] for n in originating], source, key_cols)
-    reclaimed = None if out is None else to_spark(spark, out)
+    reclaimed = None if out is None else LocalTable(canon_str(out))
     return GenTResult(reclaimed, originating, [c.name for c in cands])

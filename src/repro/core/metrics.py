@@ -1,18 +1,18 @@
-"""Metric evaluation of a reclaimed Spark table.
+"""Metric evaluation of a reclaimed table.
 
 Source tables are small (≤ ~1K rows, paper §VI-A); reclaimed tables can be
 large (ALITE outputs are 200–300× the source, Fig 8b). ``evaluate`` first
 cuts the reclaimed table to its distinct tuples with their multiplicity,
 keeping only the groups whose key is a source key (null-safe), and counts
 the groups and rows of the whole table. It takes one of two paths, chosen
-by ``DataFrame.isLocal()``:
+by the table's type:
 
-* a local plan (a ``LocalRelation``, such as Gen-T's |S|-bounded output
-  built by ``to_spark``) holds its rows in the driver already: they are
-  collected without a Spark job and grouped and cut in Python;
-* any other plan (the baselines' outputs, Ver's joins) grows with the lake
-  and is cut by one Spark query, the two counts observed on the same
-  action.
+* a ``LocalTable`` (Gen-T's output, bounded by the source) is a pandas
+  frame on the driver: its tuples are grouped and cut in Python, with no
+  Spark plan and no job;
+* a Spark ``DataFrame`` (the baselines' outputs, Ver's joins) grows with
+  the lake and is cut by one Spark query, the two counts observed on the
+  same action.
 
 Every score is then computed on the driver from those |S|-bounded tuples
 by ``metrics_core``:
@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import operator
 from collections import Counter
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +39,26 @@ from pyspark.sql import functions as F
 from repro.core import metrics_core as mc
 from repro.core.operators import add_missing_null_columns, as_strings
 from repro.lake.repository import canon_str, to_spark
+
+
+@dataclass(frozen=True, eq=False)
+class LocalTable:
+    """A reclaimed table held on the driver as a pandas frame.
+
+    Gen-T's output is bounded by the source (≤ ~1K rows, paper §VI-A), so
+    it never becomes a Spark plan. It answers what callers ask of any
+    method's output: ``columns`` and ``toPandas()``, which returns a copy.
+    """
+
+    pdf: pd.DataFrame
+
+    @property
+    def columns(self) -> list[str]:
+        return list(self.pdf.columns)
+
+    def toPandas(self) -> pd.DataFrame:
+        return self.pdf.copy()
+
 
 # At most this many distinct key-aligned tuples are scored — a safety valve
 # for degenerate baseline outputs (DESIGN.md §5). ``evaluate`` reports
@@ -84,17 +105,14 @@ def _key_cut(
 
 
 def _key_cut_local(
-    reclaimed: DataFrame, source: pd.DataFrame, key_cols: Sequence[str]
+    reclaimed: pd.DataFrame, source: pd.DataFrame, key_cols: Sequence[str]
 ) -> tuple[pd.DataFrame, str, int, int]:
-    """``_key_cut`` for a local plan, without a Spark job: the rows are
-    collected from the driver and grouped in Python, where a null equals a
-    null, as in ``groupBy`` and ``eqNullSafe``."""
+    """``_key_cut`` for a table on the driver, without Spark: its tuples
+    (as strings, padded to the source columns) are grouped in Python,
+    where a null equals a null, as in ``groupBy`` and ``eqNullSafe``."""
     cols = list(source.columns)
     mult = _mult_col(cols)
-    strings = as_strings(reclaimed)
-    at = {c: i for i, c in enumerate(strings.columns)}
-    rows = strings.collect()
-    groups = Counter(tuple(r[at[c]] if c in at else None for c in cols) for r in rows)
+    groups = Counter(mc._norm_rows(reclaimed.reindex(columns=cols), cols))
     src_keys = canon_str(source[list(key_cols)])
     wanted = set(zip(*(src_keys[k] for k in key_cols)))
     kidx = [cols.index(k) for k in key_cols]
@@ -103,12 +121,12 @@ def _key_cut_local(
     ][: MAX_ALIGNED_COLLECT + 1]
     out = pd.DataFrame([t for t, _ in cut], columns=cols, dtype=object)
     out[mult] = np.array([n for _, n in cut], dtype=np.int64)
-    return out, mult, len(groups), len(rows)
+    return out, mult, len(groups), len(reclaimed)
 
 
 def evaluate(
     spark: SparkSession,
-    reclaimed: DataFrame | None,
+    reclaimed: DataFrame | LocalTable | None,
     source: pd.DataFrame,
     key_cols: Sequence[str],
 ) -> dict:
@@ -119,9 +137,8 @@ def evaluate(
     Besides the scores, ``rows`` is the reclaimed table's row count and
     ``capped`` says whether more than ``MAX_ALIGNED_COLLECT`` distinct
     key-aligned tuples were there (only the first that many are scored).
-    A local ``reclaimed`` (``isLocal()``) is scored without a Spark job;
-    any other plan costs one Spark query, or a ``count`` when the source
-    is empty.
+    A ``LocalTable`` is scored without Spark; a Spark ``DataFrame`` costs
+    one Spark query, or a ``count`` when the source is empty.
     """
     source = source.reset_index(drop=True)
     cols = list(source.columns)
@@ -129,8 +146,8 @@ def evaluate(
     rec = pre = 0.0
     rows, capped = 0, False
     cut = None
-    if reclaimed is not None and reclaimed.isLocal():
-        cut, mult, n_rec, rows = _key_cut_local(reclaimed, source, key_cols)
+    if isinstance(reclaimed, LocalTable):
+        cut, mult, n_rec, rows = _key_cut_local(reclaimed.pdf, source, key_cols)
     elif reclaimed is not None and source.empty:
         rows = reclaimed.count()  # nothing can align with an empty source
     elif reclaimed is not None:

@@ -162,42 +162,39 @@ def jobs_started(spark, fn):
 
 
 def reclaim_spark_free(spark, repo, source, key_cols, monkeypatch, **kw):
-    """``set_similarity`` then ``gent.reclaim_from_candidates``, recording
-    the ``TableRepository.load`` calls and the Spark jobs started by the
-    time the reclaimed table is handed to ``to_spark``.
+    """``set_similarity``, then the benchmark's per-source protocol after
+    it: ``gent.reclaim_from_candidates``, ``reclaimed.toPandas()`` and
+    ``metrics.evaluate``, recording every ``TableRepository.load`` call
+    (discovery's included), every ``load_pdf`` call after discovery and
+    every Spark job the protocol starts.
 
-    Returns (candidates, result, {"loads": [...], "jobs": [...]}); the
-    record is empty when nothing was reclaimed.
+    Returns (candidates, result, scores, {"loads": [...], "jobs": [...]}).
     """
     from repro.core import discovery as disc
     from repro.core import gent
+    from repro.core import metrics as met
     from repro.lake.repository import TableRepository
 
     loads: list[str] = []
-    real_load = TableRepository.load
 
-    def counting_load(self, sp, name):
-        loads.append(name)
-        return real_load(self, sp, name)
+    def counting(real):
+        def wrapped(self, *args):
+            loads.append(args[-1])
+            return real(self, *args)
+        return wrapped
 
-    monkeypatch.setattr(TableRepository, "load", counting_load)
+    monkeypatch.setattr(TableRepository, "load", counting(TableRepository.load))
     cands = disc.set_similarity(spark, repo, source, key_cols, **kw)
+    monkeypatch.setattr(TableRepository, "load_pdf", counting(TableRepository.load_pdf))
 
-    sc = spark.sparkContext
-    group = f"spark-free-{uuid.uuid4().hex}"
-    seen: dict[str, list] = {}
-    real_to_spark = gent.to_spark
-
-    def to_spark_spy(sp, pdf):
-        sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)  # job events are async
-        seen["loads"] = list(loads)
-        seen["jobs"] = list(sc.statusTracker().getJobIdsForGroup(group))
-        return real_to_spark(sp, pdf)
-
-    monkeypatch.setattr(gent, "to_spark", to_spark_spy)
-    with job_group(sc, group, "reclaim_spark_free"):
+    def protocol():
         res = gent.reclaim_from_candidates(spark, repo, cands, source, key_cols)
-    return cands, res, seen
+        if res.reclaimed is not None:
+            res.reclaimed.toPandas()
+        return res, met.evaluate(spark, res.reclaimed, source, key_cols)
+
+    (res, scores), jobs = jobs_started(spark, protocol)
+    return cands, res, scores, {"loads": loads, "jobs": jobs}
 
 
 def reclaimed_rows(res) -> list[tuple]:

@@ -75,7 +75,7 @@ class TestAfterDiscovery:
         # q09's customer columns come from keyless candidates joined through
         # orders: the guard covers Expand, not only keyed candidates
         s = source(bench, "q09")
-        cands, res, seen = reclaim_spark_free(
+        cands, res, _scores, seen = reclaim_spark_free(
             spark, bench.repo, s.table, s.key_cols, monkeypatch, tau=0.2
         )
         assert all(c.pdf is not None for c in cands)

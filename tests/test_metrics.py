@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import metrics as met
@@ -220,22 +219,12 @@ def _reference(spark, df, source, key_cols) -> dict:
 
 
 def _on_path(spark, df, path: str):
-    """``df``'s rows as a local plan (``path`` "local", scored on the
-    driver) or as a plan Spark must run ("spark", scored by one query)."""
+    """``df``'s rows as a table held on the driver (``path`` "local", a
+    ``LocalTable`` of its strings) or as a plan Spark must run ("spark",
+    scored by one query)."""
     if path == "spark":
-        out = df.repartition(1)
-    elif df.isLocal():
-        out = df
-    elif df.isEmpty():  # pyspark builds no LocalRelation for zero rows
-        jvm = spark._jvm
-        schema = jvm.org.apache.spark.sql.types.DataType.fromJson(df.schema.json())
-        out = DataFrame(
-            spark._jsparkSession.createDataFrame(jvm.java.util.ArrayList(), schema), spark
-        )
-    else:
-        out = spark.createDataFrame(df.toPandas(), df.schema)
-    assert out.isLocal() is (path == "local")
-    return out
+        return df.repartition(1)
+    return met.LocalTable(as_strings(df).toPandas())
 
 
 CASES = [
@@ -246,8 +235,8 @@ CASES = [
 
 
 class TestEvaluate:
-    """``metrics.evaluate`` on both of its paths (a local plan on the
-    driver, any other plan in one Spark query) against ``metrics_core`` on
+    """``metrics.evaluate`` on both of its paths (a ``LocalTable`` on the
+    driver, a Spark plan in one Spark query) against ``metrics_core`` on
     the fully collected reclaimed table."""
 
     @staticmethod
@@ -308,8 +297,7 @@ class TestEvaluate:
 
     def _check(self, spark, fig3_source, fig3_s1hat, fig3_s2hat, case, path):
         df, source, key_cols = self._cases(spark, fig3_source, fig3_s1hat, fig3_s2hat)[case]
-        df = _on_path(spark, df, path)
-        assert met.evaluate(spark, df, source, key_cols) == _reference(
+        assert met.evaluate(spark, _on_path(spark, df, path), source, key_cols) == _reference(
             spark, df, source, key_cols
         )
 
@@ -367,12 +355,13 @@ class TestEvaluate:
         assert out["rows"] == n
 
     def test_spark_jobs(self, spark, fig3_source, fig3_s2hat):
-        # a local plan, typed (cast on the driver) or not, starts no job
-        typed = spark.createDataFrame(pd.DataFrame({"ID": [0, 1, 2], "Age": [27, 24, 32]}))
-        for df in (to_spark(spark, fig3_s2hat), typed):
-            assert df.isLocal()
-            _, jobs = jobs_started(spark, lambda: met.evaluate(spark, df, fig3_source, KEY))
+        # a table on the driver, typed (stringified there) or not, starts no job
+        typed = pd.DataFrame({"ID": [0, 1, 2], "Age": [27, 24, 32]})
+        for pdf in (fig3_s2hat, typed):
+            t = met.LocalTable(pdf)
+            got, jobs = jobs_started(spark, lambda: met.evaluate(spark, t, fig3_source, KEY))
             assert jobs == []
+            assert got == met.evaluate(spark, met.LocalTable(canon_str(pdf)), fig3_source, KEY)
         _, jobs = jobs_started(spark, lambda: met.evaluate(spark, None, fig3_source, KEY))
         assert jobs == []
 
