@@ -210,10 +210,7 @@ class _SourceKeys:
 def _isin(arr: np.ndarray, values: set, nulls: bool = False) -> np.ndarray:
     """Mask of ``arr``'s cells in ``values`` (which holds no null), or null
     if ``nulls``."""
-    if values:
-        out = pd.Series(arr, dtype=object).isin(values).to_numpy()
-    else:
-        out = np.zeros(len(arr), dtype=bool)
+    out = np.fromiter(map(values.__contains__, arr), dtype=bool, count=len(arr))
     return out | pd.isna(arr) if nulls else out
 
 

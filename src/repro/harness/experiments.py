@@ -21,7 +21,7 @@ from pyspark.sql import SparkSession
 
 from repro.bench import noise, tptr, webtables
 from repro.harness import runner
-from repro.lake.repository import StaleLakeError, TableRepository, to_arrow
+from repro.lake.repository import StaleLakeError, TableRepository, canon_arrow
 
 DATA_ROOT = Path(__file__).resolve().parents[3] / "data"
 
@@ -67,7 +67,7 @@ def _save_sources(root: Path, sources: list[tptr.SourceSpec]) -> None:
     out = root / "sources"
     out.mkdir(exist_ok=True)
     for s in sources:
-        pq.write_table(to_arrow(s.table), out / f"{s.name}.parquet")
+        pq.write_table(canon_arrow(s.table), out / f"{s.name}.parquet")
     specs = [
         {"name": s.name, "key_cols": s.key_cols, "base_tables": s.base_tables, "n_ops": s.n_ops}
         for s in sources

@@ -11,12 +11,19 @@ A repository is a directory:
 Every table is canonicalized to nullable strings on ingest (web-table
 semantics; Gen-T matches values syntactically — see DESIGN.md §4.1), so
 outer union / subsumption / complementation and the DuckDB oracle all see
-one uniform type. The *cells* dataset is appended at build time so that
-candidate discovery over a 15K-table lake is one in-process pyarrow scan
-of a few part files instead of 15K file opens (DESIGN.md §2.1); the part
-files are listed once per repository. Each column's *extent* — its number
-of distinct non-null values, i.e. its rows in the cells dataset — is
-written into the manifest at the same time, so discovery's Jaccard signal
+one uniform type. A column that is already plain (object dtype, every cell
+a ``str``, None or float NaN) goes to Arrow as it is; only the others —
+datetimes, floats, ints, bools and object columns holding anything else —
+are formatted with a Python call per cell, which was most of the build's
+time when every column took it (DESIGN.md §4.1). ``add`` writes the Arrow
+table and takes each column's distinct cells from it with ``pc.unique``
+(first-row order, as pandas ``unique``), so no pandas frame is built
+between. The *cells* dataset is appended at build time so that candidate
+discovery over a 15K-table lake is one in-process pyarrow scan of a few
+part files instead of 15K file opens (DESIGN.md §2.1); the part files are
+listed once per repository. Each column's *extent* — its number of
+distinct non-null values, i.e. its rows in the cells dataset — is written
+into the manifest at the same time, so discovery's Jaccard signal
 needs no second scan. Every schema is known from the manifest, so Spark
 reads pass it and start no schema-inference job.
 """
@@ -49,35 +56,70 @@ def _string_schema(columns: list[str]) -> StructType:
     return StructType([StructField(c, StringType(), True) for c in columns])
 
 
+def _float_str(v) -> str | None:
+    if pd.isna(v):
+        return None
+    if float(v).is_integer():
+        return str(int(v))
+    return np.format_float_positional(float(v), trim="-")
+
+
+def _cell_str(v) -> str | None:
+    return None if pd.api.types.is_scalar(v) and pd.isna(v) else str(v)
+
+
+_PLAIN_KINDS = frozenset({str, type(None), float})
+
+
+def _plain(s: pd.Series) -> bool:
+    """Whether a column is canonical as it stands: object dtype, and every
+    cell a plain ``str``, None or float NaN."""
+    if s.dtype != object:
+        return False
+    cells = s.to_numpy()
+    kinds = set(map(type, cells))
+    return kinds <= _PLAIN_KINDS and (
+        float not in kinds or all(v != v for v in cells if type(v) is float)
+    )
+
+
+def _canon_cells(s: pd.Series) -> pd.Series:
+    """One column's canonical strings (``canon_str``); a null comes back as
+    None or NaN. A plain column is returned as it is: only the other
+    columns pay a Python call per cell."""
+    if _plain(s):
+        return s
+    if pd.api.types.is_datetime64_any_dtype(s):
+        return s.dt.strftime("%Y-%m-%d")
+    if pd.api.types.is_float_dtype(s):
+        return s.map(_float_str)
+    return s.astype("object").map(_cell_str)
+
+
 def canon_str(pdf: pd.DataFrame) -> pd.DataFrame:
     """Canonicalize a pandas frame to nullable-string columns.
 
     Deterministic formatting so the same typed value always produces the
     same string on the source side and the lake side: dates → ISO days,
     integral floats → integer strings, other floats → repr with trailing
-    zeros stripped, NaN/NaT/None → None.
+    zeros stripped, any other value → ``str``, and every pandas missing
+    scalar (None, NaN, NaT, ``pd.NA``) → None.
     """
-    out = {}
-    for c in pdf.columns:
-        s = pdf[c]
-        if pd.api.types.is_datetime64_any_dtype(s):
-            out[c] = s.dt.strftime("%Y-%m-%d")
-        elif pd.api.types.is_float_dtype(s):
-            def _fmt(v):
-                if pd.isna(v):
-                    return None
-                if float(v).is_integer():
-                    return str(int(v))
-                return np.format_float_positional(float(v), trim="-")
-            out[c] = s.map(_fmt)
-        elif pd.api.types.is_integer_dtype(s) or pd.api.types.is_bool_dtype(s):
-            out[c] = s.astype("object").map(lambda v: None if pd.isna(v) else str(v))
-        else:
-            out[c] = s.astype("object").map(
-                lambda v: None if (v is None or (isinstance(v, float) and pd.isna(v))) else str(v)
-            )
-    res = pd.DataFrame(out, columns=list(pdf.columns))
+    res = pd.DataFrame({c: _canon_cells(pdf[c]) for c in pdf.columns}, columns=list(pdf.columns))
     return res.where(res.notna(), None)
+
+
+def canon_arrow(pdf: pd.DataFrame) -> pa.Table:
+    """``canon_str(pdf)`` as an all-string Arrow table (all-null columns
+    too), built from the canonical cells without a pandas frame between."""
+    return pa.Table.from_pydict(
+        {
+            c: pa.array(
+                _canon_cells(pdf[c]).to_numpy(dtype=object), type=pa.string(), from_pandas=True
+            )
+            for c in pdf.columns
+        }
+    )
 
 
 def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
@@ -89,13 +131,6 @@ def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     """
     spdf = canon_str(pdf)
     return spark.createDataFrame(spdf, schema=_string_schema(list(spdf.columns)))
-
-
-def to_arrow(pdf: pd.DataFrame) -> pa.Table:
-    """A canonical frame as an all-string Arrow table (all-null columns too)."""
-    return pa.Table.from_pydict(
-        {c: pa.array(list(pdf[c]), type=pa.string()) for c in pdf.columns}
-    )
 
 
 class RepositoryBuilder:
@@ -115,34 +150,30 @@ class RepositoryBuilder:
         """Add one table (any dtypes; canonicalized to strings here)."""
         if name in self._manifest:
             raise ValueError(f"duplicate table name {name!r}")
-        spdf = canon_str(pdf)
-        tbl = to_arrow(spdf)
+        tbl = canon_arrow(pdf)
         pq.write_table(tbl, self.root / "tables" / f"{name}.parquet")
-        # distinct non-null cells for the discovery dataset; their count
-        # per column is the column's extent
-        extents: dict[str, int] = {}
-        frames = []
-        for c in spdf.columns:
-            vals = spdf[c].dropna().unique()
-            extents[c] = int(len(vals))
-            if len(vals):
-                frames.append(
-                    pa.Table.from_pydict(
-                        {
-                            "table": pa.array([name] * len(vals), type=pa.string()),
-                            "col": pa.array([c] * len(vals), type=pa.string()),
-                            "value": pa.array(list(vals), type=pa.string()),
-                        }
-                    )
-                )
+        # distinct non-null cells for the discovery dataset, in first-row
+        # order; their count per column is the column's extent
+        values = [pc.unique(col.drop_null()) for col in tbl.columns]
+        counts = [len(v) for v in values]
+        n_cells = sum(counts)
         self._manifest[name] = {
-            "columns": list(spdf.columns),
-            "rows": int(len(spdf)),
-            "extents": extents,
+            "columns": tbl.column_names,
+            "rows": tbl.num_rows,
+            "extents": dict(zip(tbl.column_names, counts)),
             "meta": meta or {},
         }
-        if frames:
-            self._pending_cells.append(pa.concat_tables(frames))
+        if n_cells:
+            self._pending_cells.append(
+                pa.Table.from_arrays(
+                    [
+                        pa.array([name] * n_cells, type=pa.string()),
+                        pa.array(np.repeat(tbl.column_names, counts), type=pa.string()),
+                        pa.concat_arrays(values),
+                    ],
+                    schema=_CELLS_SCHEMA,
+                )
+            )
         if len(self._pending_cells) >= _CELLS_FLUSH_EVERY:
             self._flush_cells()
 

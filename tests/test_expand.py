@@ -383,6 +383,25 @@ def _key_rows(pdf, source, key):
     return pdf[np.array(mask, dtype=bool)].reset_index(drop=True)
 
 
+class TestIsin:
+    """``_isin`` against pandas ``Series.isin`` (its former kernel), on
+    object arrays of strings, None and NaN: a null is in no value set and
+    passes only when ``nulls``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_to_series_isin(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.array(["a", "b", "c", "1", "", None, np.nan], dtype=object)
+        for n in (0, 1, 7, 40):
+            arr = rng.choice(pool, n) if n else pool[:0]
+            for values in (set(), {"a"}, {"a", "1", "", "zz"}):
+                want = pd.Series(arr, dtype=object).isin(values).to_numpy()
+                assert exp._isin(arr, values).tolist() == want.tolist()
+                assert exp._isin(arr, values, nulls=True).tolist() == (
+                    want | pd.isna(arr)
+                ).tolist()
+
+
 class TestCutPaths:
     """The cut join of a path is the whole join's rows whose key is one of
     S's, in the same order; the expanded candidate (names, mappings, key

@@ -5,13 +5,16 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from repro.lake import repository
 from repro.lake.repository import (
     RepositoryBuilder,
     StaleLakeError,
     TableRepository,
+    canon_arrow,
     canon_str,
     to_spark,
 )
+from tests import repository_reference as ref
 from tests.conftest import jobs_started, stale_layout
 
 
@@ -50,6 +53,161 @@ class TestCanonStr:
     def test_column_order_preserved(self):
         out = canon_str(pd.DataFrame({"b": [1], "a": [2]}))
         assert list(out.columns) == ["b", "a"]
+
+    def test_string_dtype_missing_to_none(self):
+        out = canon_str(pd.DataFrame({"s": pd.array(["a", None], dtype="string")}))
+        assert out["s"].tolist() == ["a", None]
+
+    def test_pd_na_and_nat_in_object_to_none(self):
+        pdf = pd.DataFrame({"s": pd.Series(["a", pd.NA, pd.NaT, np.nan, None], dtype=object)})
+        assert canon_str(pdf)["s"].tolist() == ["a", None, None, None, None]
+        assert canon_arrow(pdf)["s"].to_pylist() == ["a", None, None, None, None]
+
+
+def _missing(v) -> bool:
+    return pd.api.types.is_scalar(v) and pd.isna(v)
+
+
+# column kinds for the seeded frames; the second list holds the missing
+# values the per-cell reference writes as text ('<NA>', 'NaT')
+_KINDS = [
+    "str", "np_str", "datetime", "float", "int64", "Int64", "bool", "mixed", "all_null", "all_nan",
+]
+_NULL_TEXT_KINDS = ["string", "obj_na", "obj_nat"]
+
+
+def _column(rng: np.random.Generator, kind: str, n: int) -> pd.Series:
+    def pick(pool):  # every pool value when there are enough rows
+        pool = np.array(pool, dtype=object)
+        if n < len(pool):
+            return rng.choice(pool, n) if n else pool[:0]
+        return rng.permutation(np.concatenate([pool, rng.choice(pool, n - len(pool))]))
+
+    if kind == "str":  # duplicates come from the small pool
+        return pd.Series(pick(["a", "b", "x y", "", "ü", "##NULL##k", None, np.nan]), dtype=object)
+    if kind == "np_str":  # a str subclass is formatted, not passed through
+        return pd.Series(pick([np.str_("s"), "a", None]), dtype=object)
+    if kind == "datetime":
+        days = pick(["1992-01-03", "1998-12-31 13:45", None])
+        return pd.Series(pd.to_datetime(days, format="ISO8601"))
+    if kind == "float":
+        pool = [3.0, 1e20, -0.0, np.inf, -np.inf, np.nan, 2.5, 0.1, 1 / 3, -7.0]
+        return pd.Series(pick(pool).astype(float))
+    if kind == "int64":
+        return pd.Series(rng.integers(-5, 5, n))
+    if kind == "Int64":
+        return pd.Series(pd.array(list(pick([1, -2, 30, None])), dtype="Int64"))
+    if kind == "bool":
+        return pd.Series(rng.random(n) < 0.5)
+    if kind == "mixed":
+        pool = [np.str_("s"), 7, b"by", "##NULL##x", "a", None, np.nan, 2.5, 1.0, np.float64(4.0)]
+        return pd.Series(pick(pool), dtype=object)
+    if kind == "all_null":
+        return pd.Series([None] * n, dtype=object)
+    if kind == "all_nan":
+        return pd.Series([np.nan] * n, dtype=float)
+    if kind == "string":
+        return pd.Series(pd.array(list(pick(["a", "b", None])), dtype="string"))
+    if kind == "obj_na":
+        return pd.Series(pick(["a", pd.NA, None]), dtype=object)
+    assert kind == "obj_nat"
+    return pd.Series(pick(["a", pd.NaT, 5]), dtype=object)
+
+
+def _frame(rng: np.random.Generator, kinds: list[str], n: int) -> pd.DataFrame:
+    cols = rng.choice(kinds, int(rng.integers(1, 7)))
+    return pd.DataFrame({f"c{j}": _column(rng, k, n) for j, k in enumerate(cols)})
+
+
+def _frames(seed: int, kinds: list[str]) -> dict[str, pd.DataFrame]:
+    """Seeded frames of 0–12 rows, one with every kind and value and one
+    empty."""
+    rng = np.random.default_rng(seed)
+    out = {f"t{i:02d}": _frame(rng, kinds, int(rng.integers(0, 13))) for i in range(30)}
+    out["every_kind"] = pd.DataFrame({k: _column(rng, k, 12) for k in kinds})
+    out["empty"] = pd.DataFrame({k: _column(rng, k, 0) for k in kinds})
+    return out
+
+
+class TestCanonStrMatchesReference:
+    """``canon_str`` against the per-cell reference, cell by cell: the
+    same string of the same type, and None wherever the input is missing
+    (where the reference writes '<NA>' or 'NaT')."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cells(self, seed):
+        for name, pdf in _frames(seed, _KINDS + _NULL_TEXT_KINDS).items():
+            got, want = canon_str(pdf), ref.canon_str(pdf)
+            assert list(got.columns) == list(want.columns), name
+            assert got.index.equals(want.index), name
+            for c in pdf.columns:
+                for v, g, w in zip(pdf[c], got[c], want[c]):
+                    w = None if _missing(v) else w
+                    assert g == w and type(g) is type(w), (name, c, v, g, w)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_arrow_is_canon_str(self, seed):
+        for name, pdf in _frames(seed, _KINDS + _NULL_TEXT_KINDS).items():
+            tbl = canon_arrow(pdf)
+            assert tbl.schema == pa.schema([(c, pa.string()) for c in pdf.columns]), name
+            assert tbl.to_pydict() == {c: list(v) for c, v in canon_str(pdf).items()}, name
+
+
+class TestBuilderMatchesReference:
+    """The builder against the per-cell reference: the same table files, cell
+    parts (rows in order) and manifest, on seeded frames of every kind the
+    reference writes as this builder does."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_lake(self, tmp_path, monkeypatch, seed):
+        monkeypatch.setattr(repository, "_CELLS_FLUSH_EVERY", 4)  # several parts
+        frames = _frames(seed, _KINDS)
+        new, old = RepositoryBuilder(tmp_path / "new"), ref.ReferenceBuilder(tmp_path / "old")
+        for i, (name, pdf) in enumerate(frames.items()):
+            meta = {"i": i} if i % 2 else None
+            new.add(name, pdf, meta=meta)
+            old.add(name, pdf, meta=meta)
+        new.finish()
+        old.finish()
+        assert len(list((tmp_path / "new" / "cells").glob("*.parquet"))) > 2
+        assert ref.same_lake(tmp_path / "new", tmp_path / "old") == []
+
+
+class TestRowsPermutedOnWrite:
+    """The benchmark's lake protocol (``reclaimbench.workloads``) wraps
+    ``RepositoryBuilder.add``: inside it every table is written in
+    permuted row order, with the cells and manifest of an unpermuted
+    build."""
+
+    def test_permuted_tables_same_cells(self, tmp_path):
+        from reclaimbench.workloads import _rows_permuted_on_write
+
+        frames = _frames(0, _KINDS)
+        plain = RepositoryBuilder(tmp_path / "plain")
+        for name, pdf in frames.items():
+            plain.add(name, pdf, meta={"name": name})
+        plain = plain.finish()
+        add = RepositoryBuilder.add
+        with _rows_permuted_on_write(np.random.default_rng(7)):
+            b = RepositoryBuilder(tmp_path / "permuted")
+            for name, pdf in frames.items():
+                b.add(name, pdf, meta={"name": name})
+            permuted = b.finish()
+        assert RepositoryBuilder.add is add
+        assert permuted.manifest == plain.manifest
+
+        perms = np.random.default_rng(7)
+        cells, plain_cells = _cells(permuted), _cells(plain)
+        moved = 0
+        for name, pdf in frames.items():
+            at = perms.permutation(len(pdf))
+            got, want = permuted.load_pdf(name), plain.load_pdf(name)
+            pd.testing.assert_frame_equal(got, want.iloc[at].reset_index(drop=True))
+            moved += not got.equals(want)
+            assert set(map(tuple, cells[cells["table"] == name].values)) == set(
+                map(tuple, plain_cells[plain_cells["table"] == name].values)
+            )
+        assert moved > 10
 
 
 class TestRepository:
