@@ -43,9 +43,9 @@ def _noise_column(g: np.random.Generator, kind: str, n: int) -> list:
     if kind == "money":
         return [f"{v:.2f}".rstrip("0").rstrip(".") for v in g.random(n) * 90000 + 900]
     if kind == "segment":
-        return list(g.choice(_SEGMENTS, n))
+        return g.choice(_SEGMENTS, n).tolist()
     if kind == "priority":
-        return list(g.choice(_PRIORITIES, n))
+        return g.choice(_PRIORITIES, n).tolist()
     return [f"{a}_{b}" for a, b in zip(g.choice(_WORDS, n), g.integers(0, 999, n))]
 
 

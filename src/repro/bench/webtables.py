@@ -56,19 +56,19 @@ def _base_table(domain: str, cols: list[str], n: int, g: np.random.Generator) ->
         elif c in ("year", "founded", "established"):
             data[c] = [str(v) for v in g.integers(1850, 2023, n)]
         elif c == "continent":
-            data[c] = list(g.choice(_CONTINENTS, n))
+            data[c] = g.choice(_CONTINENTS, n).tolist()
         elif c == "currency":
             data[c] = [f"CUR_{v:02d}" for v in g.integers(0, 40, n)]
         elif c in ("director", "author", "team", "country"):
             data[c] = [f"{c.title()}_{v:03d}" for v in g.integers(0, 120, n)]
         elif c == "genre":
-            data[c] = list(g.choice(_GENRES, n))
+            data[c] = g.choice(_GENRES, n).tolist()
         elif c == "industry":
-            data[c] = list(g.choice(_INDUSTRY, n))
+            data[c] = g.choice(_INDUSTRY, n).tolist()
         elif c == "position":
-            data[c] = list(g.choice(_POSITIONS, n))
+            data[c] = g.choice(_POSITIONS, n).tolist()
         elif c == "class":
-            data[c] = list(g.choice(_CLASSES, n))
+            data[c] = g.choice(_CLASSES, n).tolist()
         elif c == "publisher":
             data[c] = [f"Press_{v:02d}" for v in g.integers(0, 30, n)]
         else:

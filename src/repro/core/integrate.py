@@ -14,11 +14,15 @@ Pipeline per source table:
   6. RemoveLabeledNulls + pad missing source columns.
 
 After ProjectSelect every table is bounded by |S| × fan-out (§VI-A), so
-the whole algorithm runs on the driver over pandas frames, with the
-pairwise kernels applied per key group (DESIGN.md §4.3). It starts no
-Spark job; the caller hands the result back to Spark once. The source
-and the tables arrive canonical (``canon_str``), so nothing here
-re-canonicalises them.
+the whole algorithm runs in the calling Python process and starts no
+Spark job. Each table is converted once into row tuples over S's column
+order, None where a cell is null and where the table lacks the column;
+every step then works on lists of those tuples, with the pairwise kernels
+applied per key group (DESIGN.md §4.3), and one object frame with S's
+columns is built at the end. The padding changes nothing: dedup, κ and β
+compare tuples elementwise, so a column that is None in every row takes
+no part in them. The source and the tables arrive canonical
+(``canon_str``), so nothing here re-canonicalises them.
 """
 from __future__ import annotations
 
@@ -32,54 +36,53 @@ from repro.core import operators as ops
 LABEL_PREFIX = "##NULL##"
 _KEY_SEP = "\x1f"
 
-
-def label_source_nulls(source: pd.DataFrame, key_cols: Sequence[str]) -> pd.DataFrame:
-    """Working copy of the canonical S with each null replaced by a unique
-    label ``##NULL##<key values>\\x1f<column>``."""
-    src = source.reset_index(drop=True)
-    key_str = pd.Series(LABEL_PREFIX, index=src.index)
-    for i, k in enumerate(key_cols):
-        key_str = key_str + ("" if i == 0 else _KEY_SEP) + src[k].fillna("")
-    out = src.copy()
-    for c in src.columns:
-        if c not in key_cols:
-            null = src[c].isna()
-            out.loc[null, c] = key_str[null] + _KEY_SEP + c
-    return out
+# per key of S without a null part: column index → the label of S's null there
+Labels = dict[tuple, dict[int, str]]
 
 
-def _null_labels(
-    src: pd.DataFrame, labeled_source: pd.DataFrame, key_cols: Sequence[str]
-) -> pd.DataFrame:
-    """S's distinct keys with, per non-key column, the label where S has a
-    null there and null elsewhere."""
-    nk = [c for c in src.columns if c not in key_cols]
-    out = labeled_source.copy()
-    out[nk] = out[nk].where(src[nk].isna(), None)
-    return out.groupby(list(key_cols), sort=False).first().reset_index()
+def label_source_nulls(
+    s_rows: list[tuple], cols: Sequence[str], kidx: Sequence[int]
+) -> tuple[list[tuple], Labels]:
+    """LabelSourceNulls over S's rows (``metrics_core.norm_rows``).
+
+    Returns a working copy of the rows with each non-key null replaced by
+    the unique label ``##NULL##<key values>\\x1f<column>``, and the labels
+    per key of S. A key with a null part gets none: no table row can be
+    aligned with it."""
+    keyed = set(kidx)
+    labeled: list[tuple] = []
+    labels: Labels = {}
+    for s in s_rows:
+        key = tuple(s[i] for i in kidx)
+        prefix = LABEL_PREFIX + _KEY_SEP.join("" if v is None else v for v in key) + _KEY_SEP
+        nulls = {
+            i: prefix + c for i, (c, v) in enumerate(zip(cols, s)) if v is None and i not in keyed
+        }
+        labeled.append(tuple(nulls.get(i, v) for i, v in enumerate(s)) if nulls else s)
+        if nulls and None not in key:
+            labels.setdefault(key, {}).update(nulls)
+    return labeled, labels
 
 
 def _apply_labels(
-    pdf: pd.DataFrame, labels: pd.DataFrame, key_cols: Sequence[str]
-) -> pd.DataFrame:
-    """Substitute S's labels into the table's nulls at S's null positions."""
-    fill = pdf[list(key_cols)].merge(labels, on=list(key_cols), how="left")
-    out = pdf.copy()
-    for c in out.columns:
-        if c not in key_cols:
-            out[c] = out[c].where(out[c].notna(), fill[c].to_numpy())
+    rows: list[tuple], labels: Labels, kidx: Sequence[int], held: frozenset[int]
+) -> list[tuple]:
+    """Substitute S's labels into the nulls of a table that holds the
+    columns ``held``, at S's null positions."""
+    out = []
+    for r in rows:
+        lab = labels.get(tuple(r[i] for i in kidx))
+        if lab:
+            r = tuple(lab.get(i, v) if v is None and i in held else v for i, v in enumerate(r))
+        out.append(r)
     return out
 
 
-def _revert_labels(
-    pdf: pd.DataFrame, labels: pd.DataFrame, key_cols: Sequence[str]
-) -> pd.DataFrame:
+def _revert_labels(rows: list[tuple], labels: Labels) -> list[tuple]:
     """RemoveLabeledNulls: exactly the labels ``label_source_nulls`` made
     become null again; a lake value that merely looks like one stays."""
-    cells = labels.drop(columns=list(key_cols)).to_numpy().ravel()
-    produced = [v for v in cells if isinstance(v, str)]
-    out = pdf.astype(object)
-    return out.where(out.notna() & ~out.isin(produced), None)
+    produced = {v for lab in labels.values() for v in lab.values()}
+    return [tuple(None if v in produced else v for v in r) for r in rows]
 
 
 def integrate(
@@ -94,32 +97,36 @@ def integrate(
     ProjectSelect'ed (``operators.project_select_pdf``, as
     ``gent.reclaim_from_candidates`` cuts it): only S's columns, and only
     rows whose key is one of S's. Tables without S's key columns are
-    skipped. Returns a frame with exactly S's columns, or None when no
-    table can be integrated.
+    skipped. Returns an object frame with exactly S's columns and None
+    for every null, or None when no table can be integrated.
     """
-    src = source.reset_index(drop=True)
     key_cols = list(key_cols)
     pre = [t for t in tables if all(k in t.columns for k in key_cols)]
     if not pre:
         return None
+    cols = list(source.columns)
+    kidx = [cols.index(k) for k in key_cols]
+    nk_idx = [i for i in range(len(cols)) if i not in kidx]
+    labeled, labels = label_source_nulls(mc.norm_rows(source, cols), cols, kidx)
 
-    labeled_source = label_source_nulls(src, key_cols)
-    labels = _null_labels(src, labeled_source, key_cols)
-    minimal = [
-        ops.per_key_group(_apply_labels(t, labels, key_cols), key_cols, ops.minimal_form_rows)
-        for t in ops.inner_union_pdfs(pre)
-    ]
+    # InnerUnion: one row list per schema, in order of its first table
+    unions: dict[frozenset[int], list[tuple]] = {}
+    for t in pre:
+        held = frozenset(i for i, c in enumerate(cols) if c in t.columns)
+        unions.setdefault(held, []).extend(mc.norm_rows(t, cols))
 
-    acc: pd.DataFrame | None = None
-    for t in minimal:
-        acc = t if acc is None else pd.concat([acc, t], ignore_index=True)
-        base = mc.eis(labeled_source, acc, key_cols)
-        comp = ops.per_key_group(acc, key_cols, ops.complement_rows)
-        comp_eis = mc.eis(labeled_source, comp, key_cols)
+    acc: list[tuple] = []
+    for held, rows in unions.items():
+        acc = acc + ops.per_key_group(
+            _apply_labels(rows, labels, kidx, held), kidx, ops.minimal_form_rows
+        )
+        base = mc.eis_rows(labeled, acc, kidx, nk_idx)
+        comp = ops.per_key_group(acc, kidx, ops.complement_rows)
+        comp_eis = mc.eis_rows(labeled, comp, kidx, nk_idx)
         if comp_eis >= base:
             acc, base = comp, comp_eis
-        sub = ops.per_key_group(acc, key_cols, ops.subsume_rows)
-        if mc.eis(labeled_source, sub, key_cols) >= base:
+        sub = ops.per_key_group(acc, kidx, ops.subsume_rows)
+        if mc.eis_rows(labeled, sub, kidx, nk_idx) >= base:
             acc = sub
 
-    return _revert_labels(acc.reindex(columns=list(src.columns)), labels, key_cols)
+    return pd.DataFrame(_revert_labels(acc, labels), columns=cols, dtype=object)

@@ -112,7 +112,7 @@ def _key_cut_local(
     where a null equals a null, as in ``groupBy`` and ``eqNullSafe``."""
     cols = list(source.columns)
     mult = _mult_col(cols)
-    groups = Counter(mc._norm_rows(reclaimed.reindex(columns=cols), cols))
+    groups = Counter(mc.norm_rows(reclaimed, cols))
     src_keys = canon_str(source[list(key_cols)])
     wanted = set(zip(*(src_keys[k] for k in key_cols)))
     kidx = [cols.index(k) for k in key_cols]

@@ -34,14 +34,29 @@ def _norm_col(col: pd.Series) -> np.ndarray:
     return out
 
 
-def _norm_rows(pdf: pd.DataFrame, cols: Sequence[str]) -> list[tuple]:
-    """The rows of ``pdf[cols]`` as tuples of ``str`` or None, built column
-    by column."""
-    return list(zip(*(_norm_col(pdf[c]) for c in cols)))
+def norm_rows(pdf: pd.DataFrame, cols: Sequence[str]) -> list[tuple]:
+    """The rows of ``pdf`` as tuples over ``cols`` of ``str`` or None,
+    built column by column; a column ``pdf`` lacks is None in every row."""
+    missing = [None] * len(pdf)
+    return list(zip(*(_norm_col(pdf[c]) if c in pdf.columns else missing for c in cols)))
 
 
 def _key_of(row: tuple, idx: Sequence[int]) -> tuple:
     return tuple(row[i] for i in idx)
+
+
+def _by_key(rows: list[tuple], kidx: Sequence[int]) -> dict[tuple, list[tuple]]:
+    by_key: dict[tuple, list[tuple]] = {}
+    for r in rows:
+        by_key.setdefault(_key_of(r, kidx), []).append(r)
+    return by_key
+
+
+def _schema(source: pd.DataFrame, key_cols: Sequence[str]):
+    """(columns, key indexes, non-key indexes) of the source schema."""
+    cols = list(source.columns)
+    kidx = [cols.index(k) for k in key_cols]
+    return cols, kidx, [i for i in range(len(cols)) if i not in kidx]
 
 
 def _split(source: pd.DataFrame, reclaimed: pd.DataFrame, key_cols: Sequence[str]):
@@ -50,15 +65,9 @@ def _split(source: pd.DataFrame, reclaimed: pd.DataFrame, key_cols: Sequence[str
     Returns (source_rows, aligned: list[list[tuple]], nonkey_idx) where
     rows are tuples over the source schema.
     """
-    cols = list(source.columns)
-    kidx = [cols.index(k) for k in key_cols]
-    nk_idx = [i for i in range(len(cols)) if i not in kidx]
-    s_rows = _norm_rows(source, cols)
-    reclaimed = reclaimed.reindex(columns=cols)  # missing cols → all-null
-    r_rows = _norm_rows(reclaimed, cols) if len(reclaimed) else []
-    by_key: dict[tuple, list[tuple]] = {}
-    for r in r_rows:
-        by_key.setdefault(_key_of(r, kidx), []).append(r)
+    cols, kidx, nk_idx = _schema(source, key_cols)
+    s_rows = norm_rows(source, cols)
+    by_key = _by_key(norm_rows(reclaimed, cols), kidx)
     aligned = [by_key.get(_key_of(s, kidx), []) for s in s_rows]
     return s_rows, aligned, nk_idx
 
@@ -86,11 +95,23 @@ def tuple_similarity(s: tuple, t: tuple, nk_idx: Sequence[int]) -> float:
 
 def eis(source: pd.DataFrame, reclaimed: pd.DataFrame, key_cols: Sequence[str]) -> float:
     """Error-aware instance similarity (Eq 3), in [0, 1]."""
-    s_rows, aligned, nk_idx = _split(source, reclaimed, key_cols)
+    cols, kidx, nk_idx = _schema(source, key_cols)
+    return eis_rows(norm_rows(source, cols), norm_rows(reclaimed, cols), kidx, nk_idx)
+
+
+def eis_rows(
+    s_rows: list[tuple], r_rows: list[tuple], kidx: Sequence[int], nk_idx: Sequence[int]
+) -> float:
+    """``eis`` over rows already normalised (``norm_rows``) to the source
+    schema. The sum runs over the source rows in order, each adding its
+    best key-aligned reclaimed row, so a score compares exactly with
+    another one of the same source."""
     if not s_rows:
         return 0.0
+    by_key = _by_key(r_rows, kidx)
     total = 0.0
-    for s, cands in zip(s_rows, aligned):
+    for s in s_rows:
+        cands = by_key.get(_key_of(s, kidx))
         if cands:
             total += max(1 + error_aware_tuple_similarity(s, t, nk_idx) for t in cands)
     return 0.5 * total / len(s_rows)
@@ -120,9 +141,8 @@ def instance_divergence(
 def distinct_overlap(source: pd.DataFrame, reclaimed: pd.DataFrame) -> tuple[int, int, int]:
     """(|S|, |Ŝ|, |S∩Ŝ|) over distinct tuples of S's schema, null-safe."""
     cols = list(source.columns)
-    s_set = set(_norm_rows(source, cols))
-    reclaimed = reclaimed.reindex(columns=cols)
-    r_set = set(_norm_rows(reclaimed, cols)) if len(reclaimed) else set()
+    s_set = set(norm_rows(source, cols))
+    r_set = set(norm_rows(reclaimed, cols))
     return len(s_set), len(r_set), len(s_set & r_set)
 
 
@@ -150,17 +170,12 @@ def conditional_kl(
     that are source keys. The inner product is floored at ``eps``
     (−log 0 otherwise); Q(K) is floored at ``eps`` too.
     """
-    cols = list(source.columns)
-    kidx = [cols.index(k) for k in key_cols]
-    nk_idx = [i for i in range(len(cols)) if i not in kidx]
+    cols, kidx, nk_idx = _schema(source, key_cols)
     if not nk_idx:
         return 0.0
-    s_rows = _norm_rows(source, cols)
-    reclaimed = reclaimed.reindex(columns=cols)
-    r_rows = _norm_rows(reclaimed, cols) if len(reclaimed) else []
-    by_key: dict[tuple, list[tuple]] = {}
-    for r in r_rows:
-        by_key.setdefault(_key_of(r, kidx), []).append(r)
+    s_rows = norm_rows(source, cols)
+    r_rows = norm_rows(reclaimed, cols)
+    by_key = _by_key(r_rows, kidx)
 
     col_divs = []
     for i in nk_idx:

@@ -6,9 +6,10 @@ Gen-T's ProjectSelect every tuple carries a non-null source-key value and
 tuples with different keys can neither subsume nor complement each other
 (they disagree on a shared non-null attribute). So the exact pairwise
 kernels run per key group (``per_key_group``). Gen-T's own integration
-works on |S|-bounded pandas slices on the driver (DESIGN.md §4.3); the
-Spark operators below serve the baselines, whose outputs grow with the
-lake (ALITE blocks κ on a value column through ``_apply_per_group``).
+works on row tuples of its |S|-bounded slices, in process (DESIGN.md
+§4.3); the Spark operators below serve the baselines, whose outputs grow
+with the lake (ALITE blocks κ on a value column through
+``_apply_per_group``).
 
 All inputs are all-string frames (lake canonical form); nulls are SQL
 NULL / None.
@@ -237,28 +238,18 @@ def project_select_pdf(
     return pd.DataFrame(cells, columns=keep)
 
 
-def inner_union_pdfs(pdfs: Sequence[pd.DataFrame]) -> list[pd.DataFrame]:
-    """InnerUnion (Alg 2 line 4): union tables that share the same schema,
-    in order of each schema's first appearance."""
-    groups: dict[frozenset, list[pd.DataFrame]] = {}
-    for d in pdfs:
-        groups.setdefault(frozenset(d.columns), []).append(d)
-    return [pd.concat(g, ignore_index=True) for g in groups.values()]
-
-
 def per_key_group(
-    pdf: pd.DataFrame, key_cols: Sequence[str], fn: Callable[[list[tuple]], list[tuple]]
-) -> pd.DataFrame:
-    """Apply a pairwise row kernel (``*_rows``) to each key group; groups
-    keep the order of their first row and each group keeps its row order
-    (κ is order-dependent). A one-row group is passed through: dedup, β
-    and κ leave it unchanged."""
-    cols = list(pdf.columns)
-    kidx = [cols.index(k) for k in key_cols]
+    rows: list[tuple], kidx: Sequence[int], fn: Callable[[list[tuple]], list[tuple]]
+) -> list[tuple]:
+    """Apply a pairwise row kernel (``*_rows``) to each key group of
+    ``rows``, the key being the cells at ``kidx``. Groups keep the order
+    of their first row and each group keeps its row order (κ is
+    order-dependent). A one-row group is passed through: dedup, β and κ
+    leave it unchanged. Cells are None where null, as the kernels expect."""
     groups: dict[tuple, list[tuple]] = {}
-    for r in _rows(pdf):
+    for r in rows:
         groups.setdefault(tuple(r[i] for i in kidx), []).append(r)
-    return _frame([t for g in groups.values() for t in (g if len(g) == 1 else fn(g))], cols)
+    return [t for g in groups.values() for t in (g if len(g) == 1 else fn(g))]
 
 
 CLOSURE_CAP = 400  # max tuples materialised per complementation closure

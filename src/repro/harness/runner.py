@@ -41,7 +41,7 @@ class CellResult:
     empty: bool = False
     # more distinct key-aligned tuples than metrics.MAX_ALIGNED_COLLECT
     capped: bool = False
-    # "Type: message" of the exception the method raised (scored as empty)
+    # "Type: message" of the exception a baseline raised (scored as empty)
     error: str | None = None
     originating: list[str] = field(default_factory=list)
 
@@ -100,7 +100,9 @@ def run_source(
 
     ``int_set`` feeds the "w/ int. set" variants; ``exclude`` removes
     tables from discovery (T2D: a source may not reclaim from itself);
-    ``coarse_k`` enables the Starmie-substitute pre-retrieval.
+    ``coarse_k`` enables the Starmie-substitute pre-retrieval. A baseline
+    that raises is scored as an empty output with its error kept; an
+    exception from Gen-T propagates.
     """
     restrict = None
     if coarse_k is not None:
@@ -157,7 +159,9 @@ def run_source(
                 )
             else:
                 raise ValueError(f"unknown method {method!r}")
-        except Exception as e:  # a crashing method scores as empty, with its error kept
+        except Exception as e:  # a crashing baseline scores as empty, with its error kept
+            if method == "gen_t":
+                raise  # Gen-T is the system under test: its crash is an error
             error = f"{type(e).__name__}: {e}"
             print(f"[runner] {method} failed on {src_name}: {error}")
             reclaimed = None

@@ -243,8 +243,10 @@ class TableRepository:
         )
 
     def load_pdf(self, name: str) -> pd.DataFrame:
-        """Load one whole table in pandas, in file order."""
-        return pq.read_table(self.table_path(name)).to_pandas()
+        """Load one whole table in pandas, in file order. Read through
+        ``ParquetFile``: ``pq.read_table`` builds a dataset on every call."""
+        with pq.ParquetFile(self.table_path(name)) as f:
+            return f.read().to_pandas()
 
     @functools.cached_property
     def _cell_parts(self) -> list[Path]:

@@ -372,16 +372,18 @@ class TestEvaluate:
 
 
 def _norm_rows_reference(pdf, cols):
-    """The row-by-row form ``metrics_core._norm_rows`` replaced."""
+    """The row-by-row form ``metrics_core.norm_rows`` replaced; a column
+    the frame lacks is all-null."""
     return [
         tuple(None if pd.isna(v) else str(v) for v in r)
-        for r in pdf[list(cols)].itertuples(index=False)
+        for r in pdf.reindex(columns=list(cols)).itertuples(index=False)
     ]
 
 
 class TestNormRows:
-    """``_norm_rows`` builds its rows column by column; it must equal the
-    row-by-row form on any mix of nulls and value types."""
+    """``norm_rows`` builds its rows column by column; it must equal the
+    row-by-row form on any mix of nulls and value types, and on columns
+    the frame lacks."""
 
     @staticmethod
     def _frame(rng, n):
@@ -412,5 +414,6 @@ class TestNormRows:
     def test_equal_to_row_by_row(self, seed):
         rng = np.random.default_rng(seed)
         pdf = self._frame(rng, int(rng.integers(0, 30)))
-        cols = list(rng.permutation(pdf.columns))[: int(rng.integers(1, len(pdf.columns) + 1))]
-        assert mc._norm_rows(pdf, cols) == _norm_rows_reference(pdf, cols)
+        pool = [*pdf.columns, "absent"]
+        cols = list(rng.permutation(pool))[: int(rng.integers(1, len(pool) + 1))]
+        assert mc.norm_rows(pdf, cols) == _norm_rows_reference(pdf, cols)

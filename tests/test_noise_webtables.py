@@ -79,6 +79,24 @@ class TestCorpus:
         assert set(p0.columns) & set(p1.columns) == {"film"}
 
 
+def _cell_types(tables):
+    return {type(v) for pdf in tables.values() for c in pdf.columns for v in pdf[c]}
+
+
+class TestPlainStrCells:
+    """Every generated cell is a plain ``str``: an ``np.str_`` cell sends
+    ``RepositoryBuilder.add`` down its per-cell formatting path."""
+
+    def test_santos_noise(self):
+        assert _cell_types(noise.santos_noise(40, seed=0, min_rows=5, max_rows=9)) == {str}
+
+    def test_wdc_noise(self):
+        assert _cell_types(noise.wdc_noise(40, seed=0)) == {str}
+
+    def test_corpus(self):
+        assert _cell_types(webtables.corpus_tables(seed=0)[0]) == {str}
+
+
 class TestBuildWebtables:
     def test_lake_roundtrip(self, tmp_path):
         bench = webtables.build_webtables(tmp_path / "web", seed=0)

@@ -1,10 +1,11 @@
-"""Integration operators: pure kernels, per-key-group pandas helpers,
+"""Integration operators: pure kernels, per-key-group row helpers,
 Spark operators, Theorem 8 lemmas."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core import metrics_core as mc
 from repro.core import operators as ops
 
 
@@ -339,69 +340,49 @@ class TestMatchRates:
 
 class TestKeyedPairwise:
     def test_subsumption_grouped_by_key(self):
-        pdf = pd.DataFrame(
-            {"k": ["1", "1", "2"], "a": ["x", None, None], "b": ["y", "y", "q"]}
-        )
-        out = ops.per_key_group(pdf, ["k"], ops.subsume_rows)
-        assert set(out[["k", "a", "b"]].itertuples(index=False, name=None)) == {
-            ("1", "x", "y"), ("2", None, "q")
-        }
+        rs = [("1", "x", "y"), ("1", None, "y"), ("2", None, "q")]
+        out = ops.per_key_group(rs, [0], ops.subsume_rows)
+        assert set(out) == {("1", "x", "y"), ("2", None, "q")}
 
     def test_complementation_grouped_by_key(self):
-        pdf = pd.DataFrame(
-            {"k": ["1", "1", "2"], "a": ["x", None, "w"], "b": [None, "y", None]}
-        )
-        out = ops.per_key_group(pdf, ["k"], ops.complement_rows)
-        assert set(out[["k", "a", "b"]].itertuples(index=False, name=None)) == {
-            ("1", "x", "y"), ("2", "w", None)
-        }
+        rs = [("1", "x", None), ("1", None, "y"), ("2", "w", None)]
+        out = ops.per_key_group(rs, [0], ops.complement_rows)
+        assert set(out) == {("1", "x", "y"), ("2", "w", None)}
 
     def test_minimal_form(self):
-        pdf = pd.DataFrame(
-            {"k": ["1", "1", "1"], "a": ["x", "x", None], "b": [None, None, "y"]}
-        )
-        out = ops.per_key_group(pdf, ["k"], ops.minimal_form_rows)
-        assert set(out[["k", "a", "b"]].itertuples(index=False, name=None)) == {
-            ("1", "x", "y")
-        }
+        rs = [("1", "x", None), ("1", "x", None), ("1", None, "y")]
+        out = ops.per_key_group(rs, [0], ops.minimal_form_rows)
+        assert set(out) == {("1", "x", "y")}
 
     def test_multi_key_grouping(self):
-        pdf = pd.DataFrame(
-            {
-                "k1": ["1", "1"],
-                "k2": ["a", "b"],
-                "v": ["x", None],
-                "w": [None, "y"],
-            }
-        )
-        # different composite keys → no complementation across groups
-        out = ops.per_key_group(pdf, ["k1", "k2"], ops.complement_rows)
+        # (k1, k2, v, w): different composite keys → no complementation
+        # across groups
+        rs = [("1", "a", "x", None), ("1", "b", None, "y")]
+        out = ops.per_key_group(rs, [0, 1], ops.complement_rows)
         assert len(out) == 2
 
     def test_groups_keep_first_appearance_order(self):
         # κ is order-dependent: groups in order of their first row, rows in
-        # input order within a group
-        pdf = pd.DataFrame({"k": ["2", "1", "2"], "a": ["p", "x", "q"]})
-        out = ops.per_key_group(pdf, ["k"], lambda g: g)
-        assert out.values.tolist() == [["2", "p"], ["2", "q"], ["1", "x"]]
+        # input order within a group; the key may be any column
+        rs = [("p", "2"), ("x", "1"), ("q", "2")]
+        out = ops.per_key_group(rs, [1], lambda g: g)
+        assert out == [("p", "2"), ("q", "2"), ("x", "1")]
 
     def test_one_row_group_skips_kernel(self):
         seen = []
-        pdf = pd.DataFrame({"k": ["1", "2", "2"], "a": ["x", "p", "q"]})
-        out = ops.per_key_group(pdf, ["k"], lambda g: seen.append(g) or g)
+        rs = [("1", "x"), ("2", "p"), ("2", "q")]
+        out = ops.per_key_group(rs, [0], lambda g: seen.append(g) or g)
         assert seen == [[("2", "p"), ("2", "q")]]
-        assert out.values.tolist() == pdf.values.tolist()
+        assert out == rs
 
     def test_empty(self):
-        pdf = pd.DataFrame({"k": [], "a": []}, dtype=object)
-        out = ops.per_key_group(pdf, ["k"], ops.minimal_form_rows)
-        assert list(out.columns) == ["k", "a"] and len(out) == 0
+        assert ops.per_key_group([], [0], ops.minimal_form_rows) == []
 
 
 class TestSparkPairwise:
     """``_apply_per_group``, the Spark per-group wrapper ALITE blocks κ/β
     through, runs the same kernels (their ``*_pdf`` wrappers) as
-    ``per_key_group``."""
+    ``per_key_group``, on the same cases."""
 
     def test_subsumption_grouped_by_key(self, spark):
         pdf = pd.DataFrame(
@@ -464,18 +445,6 @@ class TestAddMissingNullColumns:
         assert (r["a"], r["b"], r["c"]) == ("y", "x", None)
 
 
-class TestInnerUnionGroups:
-    def test_groups_by_schema(self):
-        t1 = pd.DataFrame({"k": ["1"], "a": ["x"]})
-        t2 = pd.DataFrame({"a": ["y"], "k": ["2"]})
-        t3 = pd.DataFrame({"k": ["3"], "b": ["z"]})
-        out = ops.inner_union_pdfs([t1, t2, t3])
-        assert len(out) == 2
-        assert [len(d) for d in out] == [2, 1]
-        assert list(out[0].columns) == ["k", "a"]
-        assert out[0].values.tolist() == [["1", "x"], ["2", "y"]]
-
-
 # ---------------------------------------------------------------------------
 # Theorem 8: ⊎/σ/π/κ/β represent SPJU queries (App. A lemmas)
 # ---------------------------------------------------------------------------
@@ -491,15 +460,22 @@ def _union(*pdfs):
     return pd.concat(pdfs, ignore_index=True)
 
 
+def _per_key(pdf, key, fn):
+    """``per_key_group`` over a frame's rows, back to a frame."""
+    cols = list(pdf.columns)
+    out = ops.per_key_group(mc.norm_rows(pdf, cols), [cols.index(key)], fn)
+    return pd.DataFrame(out, columns=cols, dtype=object)
+
+
 def _beta(pdf, key):
-    return ops.per_key_group(pdf, [key], ops.subsume_rows)
+    return _per_key(pdf, key, ops.subsume_rows)
 
 
 class TestTheorem8:
     def _fd_combine(self, t1, t2, key):
         # β(κ(T1 ⊎ T2)) — combine on shared key values
         u = _union(t1, t2)
-        return _beta(ops.per_key_group(u, [key], ops.complement_rows), key)
+        return _beta(_per_key(u, key, ops.complement_rows), key)
 
     def _inner(self, t1, t2):
         fd = self._fd_combine(t1, t2, "k")

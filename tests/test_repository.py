@@ -173,6 +173,22 @@ class TestBuilderMatchesReference:
         assert ref.same_lake(tmp_path / "new", tmp_path / "old") == []
 
 
+class TestLoadPdf:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_equals_read_table(self, tmp_path, seed):
+        # load_pdf reads through ParquetFile; the frame must be the one
+        # pq.read_table gives, for every kind of column and the empty table
+        b = RepositoryBuilder(tmp_path / "lake")
+        for name, pdf in _frames(seed, _KINDS + _NULL_TEXT_KINDS).items():
+            b.add(name, pdf)
+        repo = b.finish()
+        for name in repo.names():
+            want = pq.read_table(repo.table_path(name)).to_pandas()
+            got = repo.load_pdf(name)
+            pd.testing.assert_frame_equal(got, want)
+            assert got.values.tolist() == want.values.tolist()
+
+
 class TestRowsPermutedOnWrite:
     """The benchmark's lake protocol (``reclaimbench.workloads``) wraps
     ``RepositoryBuilder.add``: inside it every table is written in

@@ -70,6 +70,16 @@ class TestRunSource:
         assert cell.output_cells == 0
         assert runner.aggregate(out).set_index("method").loc["alite", "errors"] == 1
 
+    def test_raising_gen_t_is_an_error(self, spark, fig3_repo, fig3_source, monkeypatch):
+        # Gen-T is the system under test: a crash must not read as an empty
+        # reclamation
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(runner, "reclaim_from_candidates", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            runner.run_source(spark, fig3_repo, "fig3", fig3_source, KEY, ["gen_t"], tau=0.3)
+
     def test_int_methods_skipped_without_int_set(self, spark, fig3_repo, fig3_source):
         out = runner.run_source(
             spark, fig3_repo, "fig3", fig3_source, KEY, ["alite_int"], tau=0.3
