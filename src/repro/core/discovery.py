@@ -1,18 +1,20 @@
 """Candidate table retrieval — Set Similarity (Alg 3) + Diversify (Alg 4).
 
-The part that grows with the lake is one filtered scan of the
-repository's ``(table, col, value)`` cells dataset, kept to the rows whose
-value is one of the source's distinct non-null values. It runs in process
-with pyarrow (``TableRepository.cells_with_values``), so discovery starts
-no Spark job: Spark's fixed cost per job was most of the scan's time
-(DESIGN.md §5). Column extents come from the manifest. Everything after
-that is bounded by the source's values and runs in plain loops: the hits
-are matched to their source columns through one dict from value to source
-columns and counted per ``(table, col, src_col)``, then diversified,
-ranked, verified, de-subsumed and renamed. A lake table is read at most
-once per source, and only to align a key option or for a kept candidate's
-renamed pandas frame (``Candidate.pdf``), which every later Gen-T step
-reads; a table its options reject costs no read.
+The part that grows with the lake is one filter of the repository's
+``(table, col, value)`` cells dataset, kept to the rows whose value is one
+of the source's distinct non-null values. It runs in process with pyarrow
+(``TableRepository.cells_with_values``) over record batches the
+repository read once, on its first call, so a source decodes no part
+file and discovery starts no Spark job: Spark's fixed cost per job was
+most of the scan's time (DESIGN.md §5). Column extents come from the
+manifest. Everything after that is bounded by the source's values and
+runs in plain loops: the hits are matched to their source columns through
+one dict from value to source columns and counted per
+``(table, col, src_col)``, then diversified, ranked, verified,
+de-subsumed and renamed. A lake table is read at most once per source,
+and only to align a key option or for a kept candidate's renamed pandas
+frame (``Candidate.pdf``), which every later Gen-T step reads; a table
+its options reject costs no read.
 
 Two refinements beyond raw set containment (both deterministic, both in
 the spirit of Alg 3's "verify overlap within aligned tuples" step; see
@@ -81,7 +83,7 @@ class Candidate:
 
 def _source_values(src: pd.DataFrame) -> pa.Array:
     """The canonical source's distinct non-null values, sorted, as the
-    scan's value set."""
+    filter's value set."""
     cells = src.to_numpy(dtype=object).ravel()
     return pa.array(sorted(set(cells[pd.notna(cells)])), type=pa.string())
 
@@ -114,7 +116,7 @@ class _Hit(NamedTuple):
 def _column_containments(
     repo: TableRepository, src: pd.DataFrame, restrict_to: list[str] | None
 ) -> list[_Hit]:
-    """Every (table, col, src_col) sharing a value, from one scan of the
+    """Every (table, col, src_col) sharing a value, from one filter of the
     cells, sorted by (src_col, -overlap, table, col).
 
     ``src`` is the canonical source. The cells holding one of its values
@@ -128,7 +130,7 @@ def _column_containments(
         return []
     hits = repo.cells_with_values(values)
     # the counts are per table, so dropping the other tables' hits after
-    # the scan is exact
+    # the filter is exact
     keep = None if restrict_to is None else set(restrict_to)
     src_cols_of: dict[str, list[str]] = {}
     size: dict[str, int] = {}

@@ -19,13 +19,15 @@ time when every column took it (DESIGN.md §4.1). ``add`` writes the Arrow
 table and takes each column's distinct cells from it with ``pc.unique``
 (first-row order, as pandas ``unique``), so no pandas frame is built
 between. The *cells* dataset is appended at build time so that candidate
-discovery over a 15K-table lake is one in-process pyarrow scan of a few
+discovery over a 15K-table lake is one in-process pyarrow filter of a few
 part files instead of 15K file opens (DESIGN.md §2.1); the part files are
-listed once per repository. Each column's *extent* — its number of
-distinct non-null values, i.e. its rows in the cells dataset — is written
-into the manifest at the same time, so discovery's Jaccard signal
-needs no second scan. Every schema is known from the manifest, so Spark
-reads pass it and start no schema-inference job.
+read once per repository, on discovery's first call, and their batches
+stay resident for every later source (DESIGN.md §5). Each column's
+*extent* — its number of distinct non-null values, i.e. its rows in the
+cells dataset — is written into the manifest at the same time, so
+discovery's Jaccard signal needs no second scan. Every schema is known
+from the manifest, so Spark reads pass it and start no schema-inference
+job.
 """
 from __future__ import annotations
 
@@ -71,29 +73,34 @@ def _cell_str(v) -> str | None:
 _PLAIN_KINDS = frozenset({str, type(None), float})
 
 
-def _plain(s: pd.Series) -> bool:
-    """Whether a column is canonical as it stands: object dtype, and every
-    cell a plain ``str``, None or float NaN."""
+def _plain_kinds(s: pd.Series) -> set[type] | None:
+    """The cell types of a column that is canonical as it stands (object
+    dtype, every cell a plain ``str``, None or float NaN); None for any
+    other column."""
     if s.dtype != object:
-        return False
+        return None
     cells = s.to_numpy()
     kinds = set(map(type, cells))
-    return kinds <= _PLAIN_KINDS and (
+    if kinds <= _PLAIN_KINDS and (
         float not in kinds or all(v != v for v in cells if type(v) is float)
-    )
+    ):
+        return kinds
+    return None
 
 
-def _canon_cells(s: pd.Series) -> pd.Series:
-    """One column's canonical strings (``canon_str``); a null comes back as
-    None or NaN. A plain column is returned as it is: only the other
-    columns pay a Python call per cell."""
-    if _plain(s):
-        return s
+def _canon_cells(s: pd.Series) -> tuple[pd.Series, bool]:
+    """One column's canonical strings (``canon_str``), and whether every
+    null among them is None already; otherwise a null may come back as NaN.
+    A plain column is returned as it is: only the other columns pay a
+    Python call per cell."""
+    kinds = _plain_kinds(s)
+    if kinds is not None:
+        return s, float not in kinds
     if pd.api.types.is_datetime64_any_dtype(s):
-        return s.dt.strftime("%Y-%m-%d")
+        return s.dt.strftime("%Y-%m-%d"), False
     if pd.api.types.is_float_dtype(s):
-        return s.map(_float_str)
-    return s.astype("object").map(_cell_str)
+        return s.map(_float_str), False
+    return s.astype("object").map(_cell_str), False
 
 
 def canon_str(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -103,9 +110,13 @@ def canon_str(pdf: pd.DataFrame) -> pd.DataFrame:
     same string on the source side and the lake side: dates → ISO days,
     integral floats → integer strings, other floats → repr with trailing
     zeros stripped, any other value → ``str``, and every pandas missing
-    scalar (None, NaN, NaT, ``pd.NA``) → None.
+    scalar (None, NaN, NaT, ``pd.NA``) → None. A frame whose columns are
+    all plain with no NaN is only copied.
     """
-    res = pd.DataFrame({c: _canon_cells(pdf[c]) for c in pdf.columns}, columns=list(pdf.columns))
+    cols = {c: _canon_cells(pdf[c]) for c in pdf.columns}
+    res = pd.DataFrame({c: s for c, (s, _) in cols.items()}, columns=list(pdf.columns))
+    if all(none_nulls for _, none_nulls in cols.values()):
+        return res
     return res.where(res.notna(), None)
 
 
@@ -115,7 +126,8 @@ def canon_arrow(pdf: pd.DataFrame) -> pa.Table:
     return pa.Table.from_pydict(
         {
             c: pa.array(
-                _canon_cells(pdf[c]).to_numpy(dtype=object), type=pa.string(), from_pandas=True
+                _canon_cells(pdf[c])[0].to_numpy(dtype=object), type=pa.string(),
+                from_pandas=True,
             )
             for c in pdf.columns
         }
@@ -196,6 +208,10 @@ class RepositoryBuilder:
 class TableRepository:
     """Read-side of a repository.
 
+    An instance answers from what it first read: the manifest when it is
+    opened, the cells dataset on the first ``cells_with_values``. A lake
+    rebuilt under the same root is seen by a new instance.
+
     Raises :class:`StaleLakeError` when the manifest lacks column extents
     (written by a builder older than discovery's reliance on them).
     """
@@ -249,29 +265,37 @@ class TableRepository:
             return f.read().to_pandas()
 
     @functools.cached_property
-    def _cell_parts(self) -> list[Path]:
-        return sorted(self.cells_path().glob("part-*.parquet"))
+    def _cell_batches(self) -> list[pa.RecordBatch]:
+        """Every cells part file's record batches in file order, read once
+        and kept as read: single-threaded, ``_SCAN_BATCH`` cells each,
+        with ``table`` and ``col`` as dictionary codes. Nothing is
+        concatenated or re-encoded, so what stays resident is what the
+        read produced (DESIGN.md §5)."""
+        batches = []
+        for path in sorted(self.cells_path().glob("part-*.parquet")):
+            with pq.ParquetFile(path, read_dictionary=["table", "col"]) as part:
+                batches.extend(part.iter_batches(batch_size=_SCAN_BATCH, use_threads=False))
+        return batches
 
     def cells_with_values(self, values: pa.Array) -> pa.Table:
         """The cells whose value is one of ``values``, as a ``(table, col,
         value)`` Arrow table in file order.
 
-        One single-threaded pass over the part files, ``_SCAN_BATCH`` cells
-        at a time, so memory is bounded by the batch and not by a part's
-        row groups. ``table`` and ``col`` are read as dictionary codes and
-        decoded only for the matching cells."""
+        The first call reads the cells dataset (``_cell_batches``); every
+        call filters those resident batches, so a source pays for
+        ``pc.is_in`` over the lake's values and not for decoding its part
+        files. ``table`` and ``col`` are decoded only for the matching
+        cells."""
         out = []
-        for path in self._cell_parts:
-            with pq.ParquetFile(path, read_dictionary=["table", "col"]) as part:
-                for batch in part.iter_batches(batch_size=_SCAN_BATCH, use_threads=False):
-                    at = pc.indices_nonzero(pc.is_in(batch["value"], value_set=values))
-                    if len(at):
-                        hit = batch.take(at)
-                        out.append(pa.record_batch(
-                            [hit["table"].dictionary_decode(), hit["col"].dictionary_decode(),
-                             hit["value"]],
-                            schema=_CELLS_SCHEMA,
-                        ))
+        for batch in self._cell_batches:
+            at = pc.indices_nonzero(pc.is_in(batch["value"], value_set=values))
+            if len(at):
+                hit = batch.take(at)
+                out.append(pa.record_batch(
+                    [hit["table"].dictionary_decode(), hit["col"].dictionary_decode(),
+                     hit["value"]],
+                    schema=_CELLS_SCHEMA,
+                ))
         return pa.Table.from_batches(out, schema=_CELLS_SCHEMA)
 
     def stats(self) -> dict:

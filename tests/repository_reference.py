@@ -8,6 +8,11 @@ takes each column's distinct non-null cells with pandas
 module's builder lays them out, and ``finish`` flushes the cells every
 ``repository._CELLS_FLUSH_EVERY`` tables, read at call time. ``same_lake``
 compares two lake directories.
+
+``cells_with_values`` is discovery's filter as a per-call scan, kept as the
+reference for ``TableRepository.cells_with_values``, which reads the part
+files once per repository and filters the batches it keeps
+(``test_discovery.py::TestAcrossPartFiles``).
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from repro.lake import repository
@@ -123,3 +129,25 @@ def same_lake(a: str | Path, b: str | Path) -> list[str]:
     if (a / "manifest.json").read_text() != (b / "manifest.json").read_text():
         diffs.append("manifest.json")
     return diffs
+
+
+def cells_with_values(root: str | Path, values: pa.Array) -> pa.Table:
+    """The cells of the lake at ``root`` whose value is one of ``values``,
+    in file order: every part file opened and decoded on each call,
+    ``repository._SCAN_BATCH`` cells at a time (read at call time), with
+    ``table`` and ``col`` decoded only for the matching cells."""
+    out = []
+    for path in sorted((Path(root) / "cells").glob("part-*.parquet")):
+        with pq.ParquetFile(path, read_dictionary=["table", "col"]) as part:
+            for batch in part.iter_batches(
+                batch_size=repository._SCAN_BATCH, use_threads=False
+            ):
+                at = pc.indices_nonzero(pc.is_in(batch["value"], value_set=values))
+                if len(at):
+                    hit = batch.take(at)
+                    out.append(pa.record_batch(
+                        [hit["table"].dictionary_decode(), hit["col"].dictionary_decode(),
+                         hit["value"]],
+                        schema=repository._CELLS_SCHEMA,
+                    ))
+    return pa.Table.from_batches(out, schema=repository._CELLS_SCHEMA)

@@ -7,8 +7,15 @@ import pyarrow as pa
 import pytest
 
 from repro.core import discovery as disc
-from repro.lake.repository import _CELLS_FLUSH_EVERY, RepositoryBuilder, canon_str
+from repro.lake import repository
+from repro.lake.repository import (
+    _CELLS_FLUSH_EVERY,
+    RepositoryBuilder,
+    TableRepository,
+    canon_str,
+)
 from tests import discovery_reference as ref
+from tests import repository_reference as repo_ref
 from tests.conftest import jobs_started
 
 KEY = ["ID"]
@@ -261,6 +268,7 @@ class TestAcrossPartFiles:
 
         rng = np.random.default_rng(7)
         domain = [f"v{i}" for i in range(30)] + TestColumnContainments.TRICKY + [None]
+        domain += ["##NULL##", "##NULL##v1"]  # look like Integration's null labels
         lake = {}
         for i in range(self.TABLES):
             # the second part file's tables hold no source value
@@ -290,17 +298,18 @@ class TestAcrossPartFiles:
         return lake, source, repo
 
     @pytest.fixture(params=[37, None], ids=["batch37", "batch_default"])
-    def batch(self, request, monkeypatch):
-        from repro.lake import repository
-
+    def batch(self, request, lake, monkeypatch):
+        """The lake opened afresh once ``_SCAN_BATCH`` is set: an instance
+        reads its cells once, in batches of the size set at that read."""
         if request.param is not None:
             monkeypatch.setattr(repository, "_SCAN_BATCH", request.param)
+        return TableRepository(lake[2].root)
 
     @pytest.mark.parametrize("restrict_to", ["all", "every_third"])
     def test_containments(self, lake, batch, restrict_to):
-        lake, source, repo = lake
+        lake, source, _ = lake
         keep = None if restrict_to == "all" else sorted(lake)[::3]
-        got = disc._column_containments(repo, canon_str(source), keep)
+        got = disc._column_containments(batch, canon_str(source), keep)
         want = _recount_containments(lake, source, keep)
         assert set(got) == want
         assert len(got) == len(want)
@@ -311,12 +320,55 @@ class TestAcrossPartFiles:
 
     @pytest.mark.parametrize("top_k", [5, 1000])
     def test_coarse_retrieve(self, lake, batch, top_k):
-        lake, source, repo = lake
+        lake, source, _ = lake
         src_vals = set(source.stack().dropna())
         counts = {t: len(set(pdf.stack().dropna()) & src_vals) for t, pdf in lake.items()}
         want = sorted((t for t, n in counts.items() if n), key=lambda t: (-counts[t], t))
         assert len(want) > 5
-        assert disc.coarse_retrieve(repo, source, top_k=top_k) == want[:top_k]
+        assert disc.coarse_retrieve(batch, source, top_k=top_k) == want[:top_k]
+
+    TRICKY = TestColumnContainments.TRICKY
+    # value set -> the values among them that the lake holds
+    VALUE_SETS = {
+        "absent": (["absent", "v30", "n30", "V1", " v1", "v1 "], set()),
+        "empty": ([], set()),
+        # Integration's null labels and their look-alikes
+        "null_lookalikes": (
+            ["##NULL##", "##NULL##v1", "##NULL##x", "##NULL##v2", "##null##"],
+            {"##NULL##", "##NULL##v1"},
+        ),
+        # with an escaped quote, a literal backslash-n and a decomposed é,
+        # which equal no lake value byte for byte
+        "tricky": (TRICKY + ["O''Brien", "two\\nlines", "e\u0301", "A"], set(TRICKY)),
+        # a hit in every part file (n3 and n29 are the second's)
+        "mixed": (
+            ["v3", "n3", "n29", "é", "absent", "two\nlines", "##NULL##"],
+            {"v3", "n3", "n29", "é", "two\nlines", "##NULL##"},
+        ),
+    }
+
+    @pytest.mark.parametrize("values", [*VALUE_SETS, "source", "every_value"])
+    def test_cells_equal_the_per_call_scan(self, lake, batch, values):
+        # the resident batches answer as a scan of every part file per call
+        # did: the same rows in the same file order, on the first call and
+        # on the next
+        lake, source, _ = lake
+        if values == "source":
+            vals = disc._source_values(canon_str(source))
+        elif values == "every_value":
+            vals = pa.array(sorted({v for pdf in lake.values() for v in pdf.stack()}))
+        else:
+            vals = pa.array(self.VALUE_SETS[values][0], type=pa.string())
+        want = repo_ref.cells_with_values(batch.root, vals)
+        assert want.schema == repository._CELLS_SCHEMA
+        for _ in range(2):
+            got = batch.cells_with_values(vals)
+            assert got.schema == want.schema
+            assert got.equals(want)
+        if values in self.VALUE_SETS:
+            assert set(want["value"].to_pylist()) == self.VALUE_SETS[values][1]
+        else:
+            assert len(want) > 0
 
 
 class TestRowSet:
@@ -466,7 +518,7 @@ class TestRefineMapping:
 
 class TestLakeReads:
     """Discovery reads a lake table only to align a key option or for a
-    kept candidate, and lists the cells dataset once per repository; the
+    kept candidate, and reads the cells dataset once per repository; the
     rest of Gen-T reads no lake table."""
 
     def test_tptr_small_q09_reads_eight_tables(self, spark, tptr_small, monkeypatch):
@@ -492,10 +544,8 @@ class TestLakeReads:
         assert len(loads) == len(set(loads)) == 8
         assert not [n for n in loads if n.startswith("lineitem__")]
 
-    def test_cells_listed_once_per_repository(self, fig3_repo, fig3_source, monkeypatch):
+    def test_cells_read_once_per_repository(self, fig3_repo, fig3_source, monkeypatch):
         import pyarrow.parquet as pq
-
-        from repro.lake.repository import TableRepository
 
         repo = TableRepository(fig3_repo.root)
         listings, opened = [], []
@@ -522,5 +572,6 @@ class TestLakeReads:
             assert disc.coarse_retrieve(repo, fig3_source, top_k=3)
         assert listings == [(repo.cells_path(), "part-*.parquet")]
         parts = sorted(repo.cells_path().glob("part-*.parquet"))
-        # each call opens every part file and nothing else: no lake table
-        assert opened == parts * 4
+        # the first call opens every part file once; the later three and
+        # the rest of discovery open nothing: no part again, no lake table
+        assert opened == parts

@@ -1,4 +1,6 @@
 """Parquet repository: canonicalization, round-trips, cells dataset."""
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -63,6 +65,21 @@ class TestCanonStr:
         assert canon_str(pdf)["s"].tolist() == ["a", None, None, None, None]
         assert canon_arrow(pdf)["s"].to_pylist() == ["a", None, None, None, None]
 
+    @pytest.mark.parametrize("nan", [True, False], ids=["with_nan", "without_nan"])
+    def test_plain_columns_copied_nan_to_none(self, nan):
+        # every column plain: a NaN still becomes None, and with or without
+        # one the result is a copy, not the input's cells
+        pdf = pd.DataFrame({
+            "a": pd.Series(["x", np.nan if nan else None, "z"], dtype=object),
+            "b": pd.Series([None, "y", ""], dtype=object),
+        })
+        out = canon_str(pdf)
+        assert out.to_dict("list") == {"a": ["x", None, "z"], "b": [None, "y", ""]}
+        assert all(out.dtypes == object)
+        out.iloc[0, 0] = "changed"
+        assert pdf.iloc[0, 0] == "x"
+        assert pdf["a"].isna().sum() == 1
+
 
 def _missing(v) -> bool:
     return pd.api.types.is_scalar(v) and pd.isna(v)
@@ -74,6 +91,8 @@ _KINDS = [
     "str", "np_str", "datetime", "float", "int64", "Int64", "bool", "mixed", "all_null", "all_nan",
 ]
 _NULL_TEXT_KINDS = ["string", "obj_na", "obj_nat"]
+# kinds whose columns are canonical as they stand ("str" may hold a NaN)
+_PLAIN_COLUMN_KINDS = ["plain", "str", "all_null"]
 
 
 def _column(rng: np.random.Generator, kind: str, n: int) -> pd.Series:
@@ -85,6 +104,8 @@ def _column(rng: np.random.Generator, kind: str, n: int) -> pd.Series:
 
     if kind == "str":  # duplicates come from the small pool
         return pd.Series(pick(["a", "b", "x y", "", "ü", "##NULL##k", None, np.nan]), dtype=object)
+    if kind == "plain":
+        return pd.Series(pick(["a", "b", "", "##NULL##k", None]), dtype=object)
     if kind == "np_str":  # a str subclass is formatted, not passed through
         return pd.Series(pick([np.str_("s"), "a", None]), dtype=object)
     if kind == "datetime":
@@ -129,6 +150,17 @@ def _frames(seed: int, kinds: list[str]) -> dict[str, pd.DataFrame]:
     return out
 
 
+def _assert_same_cells(name, pdf, got, want):
+    """``canon_str``'s frame against the reference's: the same string of
+    the same type, and None wherever the input is missing."""
+    assert list(got.columns) == list(want.columns), name
+    assert got.index.equals(want.index), name
+    for c in pdf.columns:
+        for v, g, w in zip(pdf[c], got[c], want[c]):
+            w = None if _missing(v) else w
+            assert g == w and type(g) is type(w), (name, c, v, g, w)
+
+
 class TestCanonStrMatchesReference:
     """``canon_str`` against the per-cell reference, cell by cell: the
     same string of the same type, and None wherever the input is missing
@@ -137,13 +169,17 @@ class TestCanonStrMatchesReference:
     @pytest.mark.parametrize("seed", range(4))
     def test_cells(self, seed):
         for name, pdf in _frames(seed, _KINDS + _NULL_TEXT_KINDS).items():
-            got, want = canon_str(pdf), ref.canon_str(pdf)
-            assert list(got.columns) == list(want.columns), name
-            assert got.index.equals(want.index), name
-            for c in pdf.columns:
-                for v, g, w in zip(pdf[c], got[c], want[c]):
-                    w = None if _missing(v) else w
-                    assert g == w and type(g) is type(w), (name, c, v, g, w)
+            _assert_same_cells(name, pdf, canon_str(pdf), ref.canon_str(pdf))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_plain_cells(self, seed):
+        # frames of plain columns only, with and without a NaN among them
+        frames = _frames(seed, _PLAIN_COLUMN_KINDS)
+        kinds = {name: set(map(type, pdf.to_numpy().ravel())) for name, pdf in frames.items()}
+        assert any(float in k for k in kinds.values())
+        assert any(k and float not in k for k in kinds.values())
+        for name, pdf in frames.items():
+            _assert_same_cells(name, pdf, canon_str(pdf), ref.canon_str(pdf))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_arrow_is_canon_str(self, seed):
@@ -292,6 +328,71 @@ class TestRepository:
         assert hits.to_pylist() == [
             {"table": "t1", "col": "k", "value": "1"},
             {"table": "t2", "col": "b", "value": "y"},
+        ]
+
+
+class TestCellsReadOnce:
+    """``cells_with_values`` reads the cells dataset on an instance's first
+    call and answers every later call from the batches it read."""
+
+    @pytest.fixture()
+    def root(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(repository, "_CELLS_FLUSH_EVERY", 2)  # three parts
+        b = RepositoryBuilder(tmp_path / "lake")
+        for i in range(5):
+            b.add(f"t{i}", pd.DataFrame({"a": [str(i), "x"], "b": [None, f"y{i}"]}))
+        b.finish()
+        return tmp_path / "lake"
+
+    def test_each_part_opened_once(self, root, monkeypatch):
+        repo = TableRepository(root)
+        opened = []
+        parquet_file = pq.ParquetFile
+
+        def opening(source, *a, **kw):
+            opened.append(Path(source))
+            return parquet_file(source, *a, **kw)
+
+        monkeypatch.setattr(pq, "ParquetFile", opening)
+        first = repo.cells_with_values(pa.array(["x", "y1"]))
+        second = repo.cells_with_values(pa.array(["0", "y4", "absent"]))
+        assert opened == sorted(repo.cells_path().glob("part-*.parquet"))
+        assert len(opened) == 3
+        # file order: table by table, column by column
+        assert [tuple(r.values()) for r in first.to_pylist()] == [
+            ("t0", "a", "x"), ("t1", "a", "x"), ("t1", "b", "y1"),
+            ("t2", "a", "x"), ("t3", "a", "x"), ("t4", "a", "x"),
+        ]
+        assert [tuple(r.values()) for r in second.to_pylist()] == [
+            ("t0", "a", "0"), ("t4", "b", "y4"),
+        ]
+
+    def test_no_cells_part(self, tmp_path):
+        # a lake whose every cell is null writes no cells part
+        b = RepositoryBuilder(tmp_path / "lake")
+        b.add("t", pd.DataFrame({"a": [None, None]}))
+        repo = b.finish()
+        assert list(repo.cells_path().glob("*")) == []
+        for values in (pa.array(["x"]), pa.array([], type=pa.string())):
+            got = repo.cells_with_values(values)
+            assert got.schema == repository._CELLS_SCHEMA
+            assert got.num_rows == 0
+
+    def test_rebuilt_root_needs_a_new_instance(self, root):
+        # an instance answers from what it first read, as its manifest
+        # does; one opened after the rebuild sees the new cells
+        old = TableRepository(root)
+        assert old.cells_with_values(pa.array(["x"])).num_rows == 5
+        b = RepositoryBuilder(root)
+        b.add("u", pd.DataFrame({"c": ["x", "new"]}))
+        b.finish()
+        assert old.cells_with_values(pa.array(["x"])).num_rows == 5
+        assert old.names() == [f"t{i}" for i in range(5)]
+        new = TableRepository(root)
+        assert new.names() == ["u"]
+        assert new.cells_with_values(pa.array(["x", "new"])).to_pylist() == [
+            {"table": "u", "col": "c", "value": "x"},
+            {"table": "u", "col": "c", "value": "new"},
         ]
 
 
